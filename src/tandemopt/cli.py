@@ -44,6 +44,7 @@ from .types import (
     ASVSPOOF19_COST_PARAMS,
     MissingClassError,
     TandemCostParams,
+    Trial,
     read_features,
     read_protocol,
     read_scores,
@@ -174,21 +175,27 @@ def _world_defaults() -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _load_data_dir(data_dir: Path) -> tuple[WorldConfig, Splits]:
+def _load_manifest(data_dir: Path) -> WorldConfig:
     manifest_path = data_dir / DATA_MANIFEST
     if not manifest_path.exists():
         raise CliError(f"missing {manifest_path}; run gen-data first")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    cfg = WorldConfig.from_json_dict(manifest["config"])
-    loaded = {}
-    for split in ("train", "dev", "eval"):
-        protocol = data_dir / f"{split}.protocol.txt"
-        features = data_dir / f"{split}.features.txt"
-        if not protocol.exists() or not features.exists():
-            raise CliError(f"missing data files for split {split!r} in {data_dir}")
-        labels = read_protocol(protocol)
-        loaded[split] = tuple(read_features(features, labels, cfg.d_asv, cfg.d_cm))
-    return cfg, Splits(train=loaded["train"], dev=loaded["dev"], eval=loaded["eval"])
+    return WorldConfig.from_json_dict(manifest["config"])
+
+
+def _load_split(data_dir: Path, cfg: WorldConfig, split: str) -> tuple[Trial, ...]:
+    protocol = data_dir / f"{split}.protocol.txt"
+    features = data_dir / f"{split}.features.txt"
+    if not protocol.exists() or not features.exists():
+        raise CliError(f"missing data files for split {split!r} in {data_dir}")
+    labels = read_protocol(protocol)
+    return tuple(read_features(features, labels, cfg.d_asv, cfg.d_cm))
+
+
+def _load_data_dir(data_dir: Path) -> tuple[WorldConfig, Splits]:
+    cfg = _load_manifest(data_dir)
+    loaded = {split: _load_split(data_dir, cfg, split) for split in ("train", "dev", "eval")}
+    return cfg, Splits(**loaded)
 
 
 def _load_checkpoint(path: Path) -> tuple[PolicyPair, dict]:
@@ -357,11 +364,11 @@ def cmd_train_tandem(args) -> int:
 
 def cmd_evaluate(args) -> int:
     data_dir = Path(args.data)
-    cfg, splits = _load_data_dir(data_dir)
+    cfg = _load_manifest(data_dir)
+    trials = _load_split(data_dir, cfg, args.split)
     pair, _ = _load_checkpoint(Path(args.ckpt))
     _check_dims(pair, cfg)
     params = _cost_params(args)
-    trials = getattr(splits, args.split)
     scores = score_trials(pair, trials)
     excluded = _parse_excluded(args.exclude_attacks)
     if excluded:

@@ -1,9 +1,9 @@
 """Minimal differentiable scorer: a small feed-forward net with one scalar
 output, exact reverse-mode gradients, and a finite-difference verifier.
 
-No minibatch tensors: forward/backward run per example and gradients are
-accumulated into a GradientTape, which is enough at desk scale and keeps the
-arithmetic easy to audit.
+The core is one matrix forward over a batch of rows, (N, d) -> (N,), and one
+batched backward that adds the parameter gradients of an upstream vector to a
+GradientTape. The per-example forward()/backward() are the same code at N=1.
 """
 
 from __future__ import annotations
@@ -55,12 +55,6 @@ class GradientTape:
         for g in self.d_biases:
             g[:] = 0.0
 
-    def scaled_copy(self, factor: float) -> "GradientTape":
-        out = object.__new__(GradientTape)
-        out.d_weights = [g * factor for g in self.d_weights]
-        out.d_biases = [g * factor for g in self.d_biases]
-        return out
-
     def add(self, other: "GradientTape") -> None:
         for mine, theirs in zip(self.d_weights, other.d_weights):
             mine += theirs
@@ -68,14 +62,20 @@ class GradientTape:
             mine += theirs
 
 
+# Rows per matrix forward in score_rows(): large enough to amortise the
+# per-call overhead, small enough that the activations of a block stay a
+# small fraction of the process's memory however many rows are scored.
+SCORE_BLOCK_ROWS = 2048
+
+
 @dataclass
 class ForwardCache:
-    """Activations captured by forward() for the matching backward()."""
+    """Activations captured by forward_batch() for the matching backward_batch()."""
 
     scorer_id: int
     version: int
-    inputs: list[np.ndarray]  # layer inputs a_0 .. a_{L-1}
-    pre_activations: list[np.ndarray]  # z_1 .. z_L
+    inputs: list[np.ndarray]  # layer inputs A_0 .. A_{L-1}, each (N, n_in)
+    pre_activations: list[np.ndarray]  # Z_1 .. Z_L, each (N, n_out)
 
 
 class Scorer:
@@ -150,21 +150,62 @@ class Scorer:
     def new_tape(self) -> GradientTape:
         return GradientTape(self)
 
-    def forward(self, x: np.ndarray) -> tuple[float, ForwardCache]:
-        """Score one input vector; the cache feeds the matching backward()."""
+    def forward_batch(self, x: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
+        """Score each row of an (N, d) matrix; the cache feeds backward_batch()."""
         a = np.asarray(x, dtype=np.float64)
-        if a.shape != (self.input_dim,):
-            raise ValueError(f"input shape {a.shape} != ({self.input_dim},)")
+        if a.ndim != 2 or a.shape[1] != self.input_dim:
+            raise ValueError(f"input shape {a.shape} != (N, {self.input_dim})")
         if not np.all(np.isfinite(a)):
             raise ValueError("non-finite input")
         inputs, pre_acts = [], []
         for i in range(self.n_layers):
             inputs.append(a)
-            z = self.weights[i] @ a + self.biases[i]
+            z = a @ self.weights[i].T + self.biases[i]
             pre_acts.append(z)
             a = _act(z, self.activation) if i < self.n_layers - 1 else z
         cache = ForwardCache(id(self), self._version, inputs, pre_acts)
-        return float(a[0]), cache
+        return a[:, 0], cache
+
+    def forward(self, x: np.ndarray) -> tuple[float, ForwardCache]:
+        """Score one input vector; the cache feeds the matching backward()."""
+        a = np.asarray(x, dtype=np.float64)
+        if a.shape != (self.input_dim,):
+            raise ValueError(f"input shape {a.shape} != ({self.input_dim},)")
+        scores, cache = self.forward_batch(a[None, :])
+        return float(scores[0]), cache
+
+    def score_rows(self, x: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+        """Scores of many input rows, by the matrix forward over blocks of
+        SCORE_BLOCK_ROWS rows; no forward cache is kept."""
+        out = np.empty(len(x))
+        for start in range(0, len(x), SCORE_BLOCK_ROWS):
+            block = np.asarray(x[start : start + SCORE_BLOCK_ROWS], dtype=np.float64)
+            out[start : start + len(block)] = self.forward_batch(block)[0]
+        return out
+
+    def backward_batch(
+        self,
+        cache: ForwardCache,
+        upstream: np.ndarray,
+        tape: GradientTape,
+        want_input_grad: bool = False,
+    ) -> np.ndarray | None:
+        """Accumulate sum_n upstream[n] * d(score_n)/d(param) into the tape.
+
+        Optionally returns the (N, d) rows upstream[n] * d(score_n)/d(input_n).
+        """
+        if cache.scorer_id != id(self) or cache.version != self._version:
+            raise ValueError("stale or mismatched forward cache")
+        dz = np.asarray(upstream, dtype=np.float64).reshape(-1, 1)
+        for i in reversed(range(self.n_layers)):
+            tape.d_weights[i] += dz.T @ cache.inputs[i]
+            tape.d_biases[i] += dz.sum(axis=0)
+            da = dz @ self.weights[i]
+            if i > 0:
+                dz = da * _act_prime(cache.pre_activations[i - 1], self.activation)
+        if want_input_grad:
+            return da
+        return None
 
     def backward(
         self,
@@ -177,18 +218,8 @@ class Scorer:
 
         Optionally returns upstream * d(score)/d(input).
         """
-        if cache.scorer_id != id(self) or cache.version != self._version:
-            raise ValueError("stale or mismatched forward cache")
-        dz = np.asarray([upstream], dtype=np.float64)
-        for i in reversed(range(self.n_layers)):
-            tape.d_weights[i] += np.outer(dz, cache.inputs[i])
-            tape.d_biases[i] += dz
-            da = self.weights[i].T @ dz
-            if i > 0:
-                dz = da * _act_prime(cache.pre_activations[i - 1], self.activation)
-        if want_input_grad:
-            return da
-        return None
+        da = self.backward_batch(cache, np.asarray([upstream]), tape, want_input_grad)
+        return None if da is None else da[0]
 
     def sgd_step(self, tape: GradientTape, lr: float, direction: Direction) -> None:
         """params <- params +/- lr * grad, then zero the tape."""

@@ -141,18 +141,11 @@ def soft_tdcf_train_step(
 
     Returns the loss before the step.
     """
-    asv_caches, cm_caches = [], []
-    asv_scores, cm_scores = [], []
-    for trial in batch:
-        asv_score, asv_cache = asv.forward(trial.x_asv)
-        cm_score, cm_cache = cm.forward(trial.x_cm)
-        asv_caches.append(asv_cache)
-        cm_caches.append(cm_cache)
-        asv_scores.append(asv_score)
-        cm_scores.append(cm_score)
+    asv_scores, asv_cache = asv.forward_batch(np.stack([t.x_asv for t in batch]))
+    cm_scores, cm_cache = cm.forward_batch(np.stack([t.x_cm for t in batch]))
     loss, grads = soft_tdcf_from_arrays(
-        np.asarray(asv_scores),
-        np.asarray(cm_scores),
+        asv_scores,
+        cm_scores,
         [t.label for t in batch],
         taus,
         p,
@@ -161,9 +154,8 @@ def soft_tdcf_train_step(
 
     asv_tape = asv.new_tape()
     cm_tape = cm.new_tape()
-    for i in range(len(batch)):
-        asv.backward(asv_caches[i], float(grads.d_asv_scores[i]), asv_tape)
-        cm.backward(cm_caches[i], float(grads.d_cm_scores[i]), cm_tape)
+    asv.backward_batch(asv_cache, grads.d_asv_scores, asv_tape)
+    cm.backward_batch(cm_cache, grads.d_cm_scores, cm_tape)
     asv.sgd_step(asv_tape, lr, Direction.DESCENT)
     cm.sgd_step(cm_tape, lr, Direction.DESCENT)
     taus.tau_asv -= lr * grads.d_tau_asv

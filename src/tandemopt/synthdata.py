@@ -365,12 +365,9 @@ class PretrainConfig:
 PLATEAU_PATIENCE = 5
 
 
-def _dataset_bce(scorer: Scorer, examples: list[tuple[np.ndarray, float]]) -> float:
-    loss = 0.0
-    for x, y in examples:
-        score, _ = scorer.forward(x)
-        loss += float(np.logaddexp(0.0, score) - y * score)
-    return loss / len(examples)
+def _dataset_bce(scorer: Scorer, x: np.ndarray, y: np.ndarray) -> float:
+    scores = scorer.score_rows(x)
+    return float(np.mean(np.logaddexp(0.0, scores) - y * scores))
 
 
 def _pretrain_scorer(
@@ -391,14 +388,15 @@ def _pretrain_scorer(
     cfg = TrainConfig(
         lr=lr, batch_size=pre.batch_size, epochs=1, balanced=True, seed=pre.seed
     )
-    examples = [(feature(t), target(t)) for t in trials]
-    best = _dataset_bce(scorer, examples)
+    x = np.stack([feature(t) for t in trials])
+    y = np.asarray([target(t) for t in trials], dtype=np.float64)
+    best = _dataset_bce(scorer, x, y)
     if not math.isfinite(best):
         raise RuntimeError("pretraining diverged before the first epoch")
     stalled = 0
     for _ in range(max_epochs):
         bce_epoch(scorer, pools, feature, target, cfg, rng)
-        cur = _dataset_bce(scorer, examples)
+        cur = _dataset_bce(scorer, x, y)
         if not math.isfinite(cur):
             raise RuntimeError("pretraining diverged (non-finite loss)")
         if best - cur < pre.plateau_tol * max(best, 1e-12):

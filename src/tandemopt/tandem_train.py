@@ -158,46 +158,55 @@ class PolicyPair:
 
 @dataclass
 class PolicyCache:
-    """Forward state needed to backpropagate through an accept probability."""
+    """Forward state needed to backpropagate through accept probabilities,
+    one entry per scored row."""
 
     forward_cache: ForwardCache
-    score: float
-    p: float
-    clamped: bool
+    score: np.ndarray
+    p: np.ndarray
+    clamped: np.ndarray
 
 
-def policy_accept_probability(policy: Policy, x: np.ndarray) -> tuple[float, PolicyCache]:
-    score, cache = policy.scorer.forward(x)
+def policy_accept_probabilities(
+    policy: Policy, x: np.ndarray
+) -> tuple[np.ndarray, PolicyCache]:
+    """Clamped accept probabilities of the rows of an (N, d) matrix."""
+    score, cache = policy.scorer.forward_batch(x)
     if policy.calibrator is None:
         z = score
     else:
         c = policy.calibrator
         z = c.a * score + c.b + c.prior_log_odds
-    p_raw = float(sigmoid(z))
-    p = min(max(p_raw, PROB_FLOOR), 1.0 - PROB_FLOOR)
+    p_raw = sigmoid(z)
+    p = np.clip(p_raw, PROB_FLOOR, 1.0 - PROB_FLOOR)
     clamped = p != p_raw
-    if clamped:
-        logger.debug("accept probability %.3e clamped", p_raw)
+    if clamped.any():
+        logger.debug("%d accept probabilities clamped", int(clamped.sum()))
     return p, PolicyCache(forward_cache=cache, score=score, p=p, clamped=clamped)
+
+
+def policy_accept_probability(policy: Policy, x: np.ndarray) -> tuple[float, PolicyCache]:
+    """Clamped accept probability of one input vector."""
+    p, cache = policy_accept_probabilities(policy, np.asarray(x, dtype=np.float64)[None, :])
+    return float(p[0]), cache
 
 
 def policy_backward(
     policy: Policy,
     pcache: PolicyCache,
-    d_p: float,
+    d_p: float | np.ndarray,
     tape: GradientTape,
     calib_grad: np.ndarray | None = None,
 ) -> None:
-    """Chain d(loss)/d(p) through the sigmoid (and calibration head) into the
-    scorer's tape; optionally accumulate [d/da, d/db] for the head itself."""
-    if pcache.clamped:
-        return  # flat region of the clamp
-    dz = d_p * pcache.p * (1.0 - pcache.p)
+    """Chain d(loss)/d(p) per row through the sigmoid (and calibration head)
+    into the scorer's tape; optionally accumulate [d/da, d/db] for the head
+    itself. Clamped rows contribute nothing (the clamp is flat there)."""
+    dz = np.where(pcache.clamped, 0.0, d_p * pcache.p * (1.0 - pcache.p))
     scale = 1.0 if policy.calibrator is None else policy.calibrator.a
-    policy.scorer.backward(pcache.forward_cache, dz * scale, tape)
+    policy.scorer.backward_batch(pcache.forward_cache, dz * scale, tape)
     if calib_grad is not None and policy.calibrator is not None:
-        calib_grad[0] += dz * pcache.score
-        calib_grad[1] += dz
+        calib_grad[0] += float(np.sum(dz * pcache.score))
+        calib_grad[1] += float(np.sum(dz))
 
 
 def sample_action(p_accept: float, rng: np.random.Generator) -> tuple[Decision, float]:
@@ -290,6 +299,22 @@ def iterate_batches(data: Sequence[Trial], cfg: TrainConfig, rng: np.random.Gene
 # ---------------------------------------------------------------------------
 
 
+def _reward_table(spec: RewardSpec, batch: Sequence[Trial]) -> np.ndarray:
+    """(n, 2) rewards of each trial for a tandem reject (column 0) and
+    accept (column 1), from one reward() call per class and decision."""
+    by_class: dict[str, tuple[float, float]] = {}
+    rows = []
+    for t in batch:
+        key = _class_key(t.label)
+        if key not in by_class:
+            by_class[key] = (
+                reward(spec, Decision.REJECT, t.label),
+                reward(spec, Decision.ACCEPT, t.label),
+            )
+        rows.append(by_class[key])
+    return np.asarray(rows, dtype=np.float64)
+
+
 def reinforce_batch(
     pair: PolicyPair,
     batch: Sequence[Trial],
@@ -305,34 +330,27 @@ def reinforce_batch(
     Returns (surrogate value, asv tape, cm tape) without touching parameters.
     """
     n = len(batch)
-    tape_asv = pair.asv.scorer.new_tape()
-    tape_cm = pair.cm.scorer.new_tape()
-    per_trial = []
-    rewards = np.empty(n)
-    for i, trial in enumerate(batch):
-        p_asv, cache_asv = policy_accept_probability(pair.asv, trial.x_asv)
-        p_cm, cache_cm = policy_accept_probability(pair.cm, trial.x_cm)
-        a_asv, _ = sample_action(p_asv, rng)
-        a_cm, _ = sample_action(p_cm, rng)
-        a_tandem, p_tandem = tandem_action_probability(a_asv, a_cm, p_asv, p_cm)
-        rewards[i] = reward(spec, a_tandem, trial.label)
-        per_trial.append((cache_asv, cache_cm, a_tandem, p_tandem))
+    p_asv, cache_asv = policy_accept_probabilities(pair.asv, np.stack([t.x_asv for t in batch]))
+    p_cm, cache_cm = policy_accept_probabilities(pair.cm, np.stack([t.x_cm for t in batch]))
+    # Row i holds trial i's ASV draw then its CM draw: the same stream, in the
+    # same order, as one sample_action per subsystem per trial.
+    u = rng.uniform(size=(n, 2))
+    accept = (u[:, 0] <= p_asv) & (u[:, 1] <= p_cm)
+    joint = p_asv * p_cm
+    p_tandem = np.where(accept, joint, 1.0 - joint)
+    rewards = _reward_table(spec, batch)[np.arange(n), accept.astype(np.intp)]
 
     baseline = float(np.mean(rewards)) if use_baseline else 0.0
-    surrogate = 0.0
-    for i, (cache_asv, cache_cm, a_tandem, p_tandem) in enumerate(per_trial):
-        r = rewards[i] - baseline
-        surrogate += math.log(p_tandem) * r / n
-        if a_tandem is Decision.ACCEPT:
-            d_p_asv = r / (n * cache_asv.p)
-            d_p_cm = r / (n * cache_cm.p)
-        else:
-            d_p_asv = -r * cache_cm.p / (n * p_tandem)
-            d_p_cm = -r * cache_asv.p / (n * p_tandem)
-        policy_backward(pair.asv, cache_asv, d_p_asv, tape_asv, asv_calib_grad)
-        policy_backward(pair.cm, cache_cm, d_p_cm, tape_cm, cm_calib_grad)
+    r = rewards - baseline
+    surrogate = float(np.sum(np.log(p_tandem) * r / n))
     if not math.isfinite(surrogate):
         raise TrainingDivergedError(f"non-finite surrogate loss {surrogate}")
+    d_p_asv = np.where(accept, r / (n * p_asv), -r * p_cm / (n * p_tandem))
+    d_p_cm = np.where(accept, r / (n * p_cm), -r * p_asv / (n * p_tandem))
+    tape_asv = pair.asv.scorer.new_tape()
+    tape_cm = pair.cm.scorer.new_tape()
+    policy_backward(pair.asv, cache_asv, d_p_asv, tape_asv, asv_calib_grad)
+    policy_backward(pair.cm, cache_cm, d_p_cm, tape_cm, cm_calib_grad)
     return surrogate, tape_asv, tape_cm
 
 
@@ -378,15 +396,15 @@ def bce_batch(
     scorer: Scorer, examples: Sequence[tuple[np.ndarray, float]]
 ) -> tuple[float, GradientTape]:
     """Mean binary cross-entropy (on sigmoid(score)) and its gradient."""
-    tape = scorer.new_tape()
+    x = np.stack([example[0] for example in examples])
+    y = np.asarray([example[1] for example in examples], dtype=np.float64)
     n = len(examples)
-    loss = 0.0
-    for x, y in examples:
-        score, cache = scorer.forward(x)
-        # log(1 + e^z) - y*z, numerically stable; d/dz = sigmoid(z) - y.
-        loss += (np.logaddexp(0.0, score) - y * score) / n
-        scorer.backward(cache, (float(sigmoid(score)) - y) / n, tape)
-    return float(loss), tape
+    scores, cache = scorer.forward_batch(x)
+    # log(1 + e^z) - y*z, numerically stable; d/dz = sigmoid(z) - y.
+    loss = float(np.sum((np.logaddexp(0.0, scores) - y * scores) / n))
+    tape = scorer.new_tape()
+    scorer.backward_batch(cache, (sigmoid(scores) - y) / n, tape)
+    return loss, tape
 
 
 def bce_epoch(
@@ -468,12 +486,11 @@ def finetune_epoch(
 def score_trials(pair: PolicyPair, trials: Sequence[Trial]) -> ScoreSet:
     """Raw scorer outputs for every trial (calibration is monotone and does
     not change threshold-swept metrics, so metrics always use raw scores)."""
-    rows = []
-    for t in trials:
-        asv_score, _ = pair.asv.scorer.forward(t.x_asv)
-        cm_score, _ = pair.cm.scorer.forward(t.x_cm)
-        rows.append((t.id, t.label, asv_score, cm_score))
-    return ScoreSet.from_rows(rows)
+    asv = pair.asv.scorer.score_rows([t.x_asv for t in trials])
+    cm = pair.cm.scorer.score_rows([t.x_cm for t in trials])
+    return ScoreSet.from_rows(
+        zip((t.id for t in trials), (t.label for t in trials), asv.tolist(), cm.tolist())
+    )
 
 
 @dataclass(frozen=True)
@@ -558,41 +575,29 @@ def run_method(
     record = RunRecord(method=method.value, seed=cfg.seed, config=cfg.to_json_dict())
     step = 0
 
+    def add_report(split: str, epoch: int, scores: ScoreSet) -> None:
+        report = compute_metric_report(scores, p)
+        record.add_report(split, epoch, report)
+        record.rows.append(
+            TelemetryRow(
+                step=step,
+                epoch=epoch,
+                method=method.value,
+                seed=cfg.seed,
+                split=split,
+                asv_eer=report.asv_eer,
+                cm_eer=report.cm_eer,
+                min_norm_tdcf=report.min_norm_tdcf,
+                train_loss=None,
+            )
+        )
+
     def evaluate(epoch: int) -> None:
-        jobs = [("dev", splits.dev), ("eval", splits.eval)]
-        for split, trials in jobs:
-            report = compute_metric_report(score_trials(pair, trials), p)
-            record.add_report(split, epoch, report)
-            record.rows.append(
-                TelemetryRow(
-                    step=step,
-                    epoch=epoch,
-                    method=method.value,
-                    seed=cfg.seed,
-                    split=split,
-                    asv_eer=report.asv_eer,
-                    cm_eer=report.cm_eer,
-                    min_norm_tdcf=report.min_norm_tdcf,
-                    train_loss=None,
-                )
-            )
+        add_report("dev", epoch, score_trials(pair, splits.dev))
+        eval_scores = score_trials(pair, splits.eval)
+        add_report("eval", epoch, eval_scores)
         if exclude_attacks is not None:
-            filtered = filter_attacks(score_trials(pair, splits.eval), exclude_attacks)
-            report = compute_metric_report(filtered, p)
-            record.add_report(EVAL_FILTERED_SPLIT, epoch, report)
-            record.rows.append(
-                TelemetryRow(
-                    step=step,
-                    epoch=epoch,
-                    method=method.value,
-                    seed=cfg.seed,
-                    split=EVAL_FILTERED_SPLIT,
-                    asv_eer=report.asv_eer,
-                    cm_eer=report.cm_eer,
-                    min_norm_tdcf=report.min_norm_tdcf,
-                    train_loss=None,
-                )
-            )
+            add_report(EVAL_FILTERED_SPLIT, epoch, filter_attacks(eval_scores, exclude_attacks))
 
     evaluate(epoch=0)
     for epoch in range(1, cfg.epochs + 1):

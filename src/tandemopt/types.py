@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -174,6 +175,12 @@ class ScoreEntry:
     cm_score: float
 
 
+def _frozen_array(values: list[float]) -> np.ndarray:
+    arr = np.asarray(values, dtype=np.float64)
+    arr.setflags(write=False)
+    return arr
+
+
 class ClassScores:
     """Per-class numpy views of a ScoreSet (target-bonafide, nontarget-bonafide,
     spoof), plus the spoof attack tags aligned with the spoof arrays."""
@@ -181,22 +188,26 @@ class ClassScores:
     def __init__(self, entries: Sequence[ScoreEntry]):
         tb_asv, tb_cm, nb_asv, nb_cm, sp_asv, sp_cm, sp_attacks = [], [], [], [], [], [], []
         for e in entries:
-            if e.label.is_target_bonafide:
-                tb_asv.append(e.asv_score)
-                tb_cm.append(e.cm_score)
-            elif e.label.is_nontarget_bonafide:
-                nb_asv.append(e.asv_score)
-                nb_cm.append(e.cm_score)
-            else:
+            # A spoof always claims the target (TrialLabel enforces it), so
+            # the CM label and then the ASV label decide the class.
+            label = e.label
+            if label.cm_label is CmLabel.SPOOF:
                 sp_asv.append(e.asv_score)
                 sp_cm.append(e.cm_score)
-                sp_attacks.append(e.label.attack_id)
-        self.tb_asv = np.asarray(tb_asv, dtype=np.float64)
-        self.tb_cm = np.asarray(tb_cm, dtype=np.float64)
-        self.nb_asv = np.asarray(nb_asv, dtype=np.float64)
-        self.nb_cm = np.asarray(nb_cm, dtype=np.float64)
-        self.sp_asv = np.asarray(sp_asv, dtype=np.float64)
-        self.sp_cm = np.asarray(sp_cm, dtype=np.float64)
+                sp_attacks.append(label.attack_id)
+            elif label.asv_label is AsvLabel.TARGET:
+                tb_asv.append(e.asv_score)
+                tb_cm.append(e.cm_score)
+            else:
+                nb_asv.append(e.asv_score)
+                nb_cm.append(e.cm_score)
+        # Read-only: a ScoreSet hands the same ClassScores to every caller.
+        self.tb_asv = _frozen_array(tb_asv)
+        self.tb_cm = _frozen_array(tb_cm)
+        self.nb_asv = _frozen_array(nb_asv)
+        self.nb_cm = _frozen_array(nb_cm)
+        self.sp_asv = _frozen_array(sp_asv)
+        self.sp_cm = _frozen_array(sp_cm)
         self.sp_attacks = tuple(sp_attacks)
 
     def require_all_classes(self) -> None:
@@ -234,6 +245,11 @@ class ScoreSet:
         return cls(tuple(ScoreEntry(i, l, float(a), float(c)) for i, l, a, c in rows))
 
     def class_split(self) -> ClassScores:
+        """The per-class arrays, built on first use and shared afterwards."""
+        return self._class_split
+
+    @cached_property
+    def _class_split(self) -> ClassScores:
         return ClassScores(self.entries)
 
 

@@ -128,6 +128,63 @@ class TestBackward:
         assert np.allclose(g, [2.0, -3.0])
 
 
+class TestBatch:
+    def test_matrix_forward_matches_oracle_and_per_row_forward(self):
+        rng = np.random.default_rng(20)
+        for act in Activation:
+            s = Scorer.create([4, 5, 1], act, seed=21)
+            x = rng.standard_normal((37, 4))
+            scores, _ = s.forward_batch(x)
+            assert scores.shape == (37,)
+            for row, score in zip(x, scores):
+                assert score == pytest.approx(oracle_forward(s, row), rel=1e-12)
+                assert score == pytest.approx(s.forward(row)[0], rel=1e-12)
+
+    def test_batched_backward_is_sum_of_per_example_backwards(self):
+        rng = np.random.default_rng(22)
+        for act in Activation:
+            s = Scorer.create([4, 5, 1], act, seed=23)
+            x = rng.standard_normal((29, 4))
+            upstream = rng.standard_normal(29)
+            batched = s.new_tape()
+            _, cache = s.forward_batch(x)
+            input_grads = s.backward_batch(cache, upstream, batched, want_input_grad=True)
+            summed = s.new_tape()
+            for row, g, input_grad in zip(x, upstream, input_grads):
+                _, row_cache = s.forward(row)
+                row_input_grad = s.backward(row_cache, float(g), summed, want_input_grad=True)
+                np.testing.assert_allclose(input_grad, row_input_grad, rtol=1e-12, atol=1e-12)
+            for got, want in zip(
+                batched.d_weights + batched.d_biases, summed.d_weights + summed.d_biases
+            ):
+                np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+    def test_stale_batch_cache_rejected(self):
+        s = Scorer.create([2, 3, 1], seed=0)
+        _, cache = s.forward_batch(np.ones((4, 2)))
+        s.sgd_step(s.new_tape(), 0.1, Direction.DESCENT)
+        with pytest.raises(ValueError, match="stale"):
+            s.backward_batch(cache, np.ones(4), s.new_tape())
+
+    def test_other_scorers_batch_cache_rejected(self):
+        a = Scorer.create([2, 3, 1], seed=0)
+        b = a.clone()
+        _, cache = a.forward_batch(np.ones((4, 2)))
+        with pytest.raises(ValueError, match="mismatched"):
+            b.backward_batch(cache, np.ones(4), b.new_tape())
+
+    def test_matrix_shape_and_finiteness_checked(self):
+        s = Scorer.create([3, 2, 1], seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            s.forward_batch(np.zeros((5, 4)))
+        with pytest.raises(ValueError, match="shape"):
+            s.forward_batch(np.zeros(3))
+        x = np.zeros((5, 3))
+        x[4, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            s.forward_batch(x)
+
+
 class TestSgdStep:
     def test_zero_lr_keeps_parameters(self):
         s = Scorer.create([2, 3, 1], seed=2)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tandemopt.calibration import Calibrator, sigmoid
-from tandemopt.nn import Activation, Scorer, finite_diff_check
+from tandemopt.nn import SCORE_BLOCK_ROWS, Activation, Scorer, finite_diff_check
 from tandemopt.tandem_train import (
     Method,
     Policy,
@@ -251,6 +251,100 @@ class TestReinforce:
         t = Trial("tb0", np.array([1.0]), np.array([1.0]), TB)
         with pytest.raises(TrainingDivergedError):
             reinforce_batch(pair, [t], PM1, np.random.default_rng(0))
+
+
+def per_trial_reinforce(pair, batch, spec, rng, asv_calib_grad=None, cm_calib_grad=None):
+    """Per-trial REINFORCE reference: for each trial one ASV draw, then one
+    CM draw, through sample_action. Returns (surrogate, asv tape, cm tape,
+    tandem actions)."""
+    n = len(batch)
+    tape_asv, tape_cm = pair.asv.scorer.new_tape(), pair.cm.scorer.new_tape()
+    surrogate = 0.0
+    actions = []
+    for t in batch:
+        p_asv, cache_asv = policy_accept_probability(pair.asv, t.x_asv)
+        p_cm, cache_cm = policy_accept_probability(pair.cm, t.x_cm)
+        a_asv, _ = sample_action(p_asv, rng)
+        a_cm, _ = sample_action(p_cm, rng)
+        a_t, p_t = tandem_action_probability(a_asv, a_cm, p_asv, p_cm)
+        r = reward(spec, a_t, t.label)
+        surrogate += math.log(p_t) * r / n
+        if a_t is Decision.ACCEPT:
+            d_p_asv, d_p_cm = r / (n * p_asv), r / (n * p_cm)
+        else:
+            d_p_asv, d_p_cm = -r * p_cm / (n * p_t), -r * p_asv / (n * p_t)
+        policy_backward(pair.asv, cache_asv, d_p_asv, tape_asv)
+        policy_backward(pair.cm, cache_cm, d_p_cm, tape_cm)
+        for p, cache, d_p, grad in (
+            (p_asv, cache_asv, d_p_asv, asv_calib_grad),
+            (p_cm, cache_cm, d_p_cm, cm_calib_grad),
+        ):
+            if grad is not None and not cache.clamped[0]:
+                # d(p)/d(a) = p(1 - p) * score and d(p)/d(b) = p(1 - p)
+                grad += d_p * p * (1.0 - p) * np.array([cache.score[0], 1.0])
+        actions.append(a_t)
+    return surrogate, tape_asv, tape_cm, actions
+
+
+class TestBatchedReinforceMatchesPerTrial:
+    def test_rng_stream_left_where_per_trial_reference_leaves_it(self):
+        trials = toy_trials(np.random.default_rng(30), n_per_class=7)
+        pair = linear_pair([0.4, -0.2], 0.1, [0.3, 0.2], -0.1)
+        for spec in (PM1, TDCF1):
+            batched_rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
+            for batch in (trials, trials[:5]):
+                reinforce_batch(pair, batch, spec, batched_rng)
+                per_trial_reinforce(pair, batch, spec, ref_rng)
+                assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_same_actions_as_per_trial_reference(self):
+        # One-hot inputs put each trial's gradient in its own weight column,
+        # so equal columns mean each trial took the reference's action.
+        n = 12
+        eye = np.eye(n)
+        labels = [TB, NB, SP] * (n // 3)
+        trials = [Trial(f"t{i}", eye[i], eye[i], labels[i]) for i in range(n)]
+        rng = np.random.default_rng(32)
+        plain = linear_pair(list(rng.normal(0, 1.5, n)), 0.0, list(rng.normal(0, 1.5, n)), 0.0)
+        calibrated = PolicyPair(
+            Policy(plain.asv.scorer, Calibrator(a=1.3, b=-0.2, prior_log_odds=0.5)),
+            Policy(plain.cm.scorer, Calibrator(a=0.8, b=0.1, prior_log_odds=-0.3)),
+        )
+        seen = set()
+        for pair in (plain, calibrated):
+            for seed in range(6):
+                calib = [np.zeros(2) for _ in range(4)]
+                surrogate, tape_asv, tape_cm = reinforce_batch(
+                    pair, trials, PM1, np.random.default_rng(seed), False, calib[0], calib[1]
+                )
+                ref_calib = (calib[2], calib[3]) if pair is calibrated else (None, None)
+                ref, ref_asv, ref_cm, actions = per_trial_reinforce(
+                    pair, trials, PM1, np.random.default_rng(seed), *ref_calib
+                )
+                seen.update(actions)
+                np.testing.assert_allclose(tape_asv.d_weights[0], ref_asv.d_weights[0], rtol=1e-12)
+                np.testing.assert_allclose(tape_cm.d_weights[0], ref_cm.d_weights[0], rtol=1e-12)
+                np.testing.assert_allclose(calib[0], calib[2], rtol=1e-12, atol=1e-15)
+                np.testing.assert_allclose(calib[1], calib[3], rtol=1e-12, atol=1e-15)
+                assert surrogate == pytest.approx(ref, rel=1e-12)
+        assert seen == {Decision.ACCEPT, Decision.REJECT}
+
+
+class TestScoreTrials:
+    def test_block_boundary_matches_per_trial_forward(self):
+        rng = np.random.default_rng(33)
+        pair = PolicyPair(
+            Policy(Scorer.create([3, 4, 1], seed=1)), Policy(Scorer.create([2, 4, 1], seed=2))
+        )
+        trials = [
+            Trial(f"t{i}", rng.standard_normal(3), rng.standard_normal(2), TB)
+            for i in range(SCORE_BLOCK_ROWS + 1)
+        ]
+        scores = score_trials(pair, trials)
+        assert [e.trial_id for e in scores] == [t.id for t in trials]
+        for e, t in zip(scores, trials):
+            assert e.asv_score == pytest.approx(pair.asv.scorer.forward(t.x_asv)[0], rel=1e-12)
+            assert e.cm_score == pytest.approx(pair.cm.scorer.forward(t.x_cm)[0], rel=1e-12)
 
 
 class TestBalancedSampling:
