@@ -10,9 +10,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
-
-import numpy as np
 
 from .metrics import compute_metric_report, filter_attacks
 from .records import (
@@ -47,13 +46,13 @@ from .types import (
     Trial,
     read_features,
     read_protocol,
-    read_scores,
     write_features,
     write_protocol,
     write_scores,
 )
 
 DATA_MANIFEST = "manifest.json"
+CHECKPOINT_FORMAT = "tandemopt-checkpoint-v1"
 COSTS_HELP = (
     "six comma-separated values c_miss,c_fa,c_fa_spoof,rho_tar,rho_non,rho_spoof "
     "(default: ASVspoof19 convention)"
@@ -81,27 +80,6 @@ def _write_manifest(out_dir: Path, command: str, config: dict, files: list[str])
 # Config file parsing: flat "key = value" lines, '#' comments. Attacks are
 # comma-separated id:split:asv_effectiveness:cm_detectability tuples.
 # ---------------------------------------------------------------------------
-
-_INT_KEYS = {
-    "seed",
-    "d_asv",
-    "d_cm",
-    "n_speakers_train",
-    "n_speakers_dev",
-    "n_speakers_eval",
-    "trials_per_class_train",
-    "trials_per_class_dev",
-    "trials_per_class_eval",
-}
-_FLOAT_KEYS = {
-    "speaker_scale",
-    "utterance_noise",
-    "spoof_offset_scale",
-    "cm_noise",
-    "cm_shift_scale",
-    "attack_dir_jitter",
-}
-
 
 def parse_attacks(text: str) -> tuple[AttackSpec, ...]:
     attacks = []
@@ -132,8 +110,12 @@ def parse_attacks(text: str) -> tuple[AttackSpec, ...]:
 
 
 def load_world_config(path: str | None) -> WorldConfig:
+    defaults = default_world_config()
     if path is None:
-        return default_world_config()
+        return defaults
+    # Each key is a WorldConfig field, parsed as the type of its default.
+    parsers = {f.name: type(getattr(defaults, f.name)) for f in fields(WorldConfig)}
+    parsers["attacks"] = parse_attacks
     values: dict = {}
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
@@ -147,27 +129,14 @@ def load_world_config(path: str | None) -> WorldConfig:
             raise CliError(f"{path}:{lineno}: expected key = value")
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key in _INT_KEYS:
-            values[key] = int(value)
-        elif key in _FLOAT_KEYS:
-            values[key] = float(value)
-        elif key == "attacks":
-            values[key] = parse_attacks(value)
-        else:
-            valid = sorted(_INT_KEYS | _FLOAT_KEYS | {"attacks"})
+        if key not in parsers:
+            valid = sorted(parsers)
             raise CliError(f"{path}:{lineno}: unknown config key {key!r}; valid: {valid}")
-    defaults = default_world_config()
-    values.setdefault("attacks", defaults.attacks)
+        values[key] = parsers[key](value)
     try:
-        return WorldConfig(**{**_world_defaults(), **values})
+        return replace(defaults, **values)
     except (ValueError, TypeError) as exc:
         raise CliError(f"invalid config: {exc}") from exc
-
-
-def _world_defaults() -> dict:
-    d = default_world_config().to_json_dict()
-    d.pop("attacks")
-    return d
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +149,8 @@ def _load_manifest(data_dir: Path) -> WorldConfig:
     if not manifest_path.exists():
         raise CliError(f"missing {manifest_path}; run gen-data first")
     manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+    if "config" not in manifest:
+        raise CliError(f"manifest {manifest_path} has no 'config' entry")
     return WorldConfig.from_json_dict(manifest["config"])
 
 
@@ -198,11 +169,16 @@ def _load_data_dir(data_dir: Path) -> tuple[WorldConfig, Splits]:
     return cfg, Splits(**loaded)
 
 
-def _load_checkpoint(path: Path) -> tuple[PolicyPair, dict]:
+def _load_checkpoint(path: Path) -> PolicyPair:
     if not path.exists():
         raise CliError(f"checkpoint {path} does not exist")
     payload = json.loads(path.read_text(encoding="utf-8"))
-    return PolicyPair.from_json_dict(payload["pair"]), payload
+    tag = payload.get("format") if isinstance(payload, dict) else None
+    if tag != CHECKPOINT_FORMAT:
+        raise CliError(f"checkpoint {path} has format {tag!r}, expected {CHECKPOINT_FORMAT!r}")
+    if "pair" not in payload:
+        raise CliError(f"checkpoint {path} has no 'pair' entry")
+    return PolicyPair.from_json_dict(payload["pair"])
 
 
 def _check_dims(pair: PolicyPair, cfg: WorldConfig) -> None:
@@ -269,14 +245,9 @@ def cmd_gen_data(args) -> int:
 def cmd_pretrain(args) -> int:
     data_dir = Path(args.data)
     cfg, splits = _load_data_dir(data_dir)
+    # Each pretrain flag sets the PretrainConfig field of the same name.
     pre = PretrainConfig(
-        asv_lr=args.asv_lr,
-        asv_max_epochs=args.asv_max_epochs,
-        cm_lr=args.cm_lr,
-        cm_max_epochs=args.cm_max_epochs,
-        batch_size=args.batch_size,
-        hidden=args.hidden,
-        seed=args.seed,
+        **{f.name: getattr(args, f.name) for f in fields(PretrainConfig) if hasattr(args, f.name)}
     )
     pair = pretrain_pair(splits.train, pre)
     params = _cost_params(args)
@@ -285,7 +256,7 @@ def cmd_pretrain(args) -> int:
     _write_json(
         out,
         {
-            "format": "tandemopt-checkpoint-v1",
+            "format": CHECKPOINT_FORMAT,
             "pair": pair.to_json_dict(),
             "pretrain_config": pre.to_json_dict(),
             "d_asv": cfg.d_asv,
@@ -307,23 +278,26 @@ def cmd_train_tandem(args) -> int:
         ) from None
     data_dir = Path(args.data)
     cfg, splits = _load_data_dir(data_dir)
-    pair, _ = _load_checkpoint(Path(args.ckpt))
+    pair = _load_checkpoint(Path(args.ckpt))
     _check_dims(pair, cfg)
     params = _cost_params(args)
     excluded = _parse_excluded(args.exclude_attacks)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    files = []
-    train_cfg_snapshot = None
-    for k in range(args.seeds):
-        run_cfg = TrainConfig(
+    run_cfgs = [
+        TrainConfig(
             lr=args.lr,
             batch_size=args.batch_size,
             epochs=args.epochs,
             balanced=True,
             seed=args.base_seed + k,
         )
+        for k in range(args.seeds)
+    ]
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+
+    files = []
+    train_cfg_snapshot = None
+    for run_cfg in run_cfgs:
         train_cfg_snapshot = run_cfg.to_json_dict()
         record = run_method(method, pair, splits, run_cfg, params, exclude_attacks=excluded)
         stem = f"{method.value}_seed{run_cfg.seed}"
@@ -332,7 +306,7 @@ def cmd_train_tandem(args) -> int:
         _write_json(
             out_dir / f"{stem}_checkpoint.json",
             {
-                "format": "tandemopt-checkpoint-v1",
+                "format": CHECKPOINT_FORMAT,
                 "pair": record.final_pair.to_json_dict(),
                 "d_asv": cfg.d_asv,
                 "d_cm": cfg.d_cm,
@@ -366,7 +340,7 @@ def cmd_evaluate(args) -> int:
     data_dir = Path(args.data)
     cfg = _load_manifest(data_dir)
     trials = _load_split(data_dir, cfg, args.split)
-    pair, _ = _load_checkpoint(Path(args.ckpt))
+    pair = _load_checkpoint(Path(args.ckpt))
     _check_dims(pair, cfg)
     params = _cost_params(args)
     scores = score_trials(pair, trials)

@@ -11,7 +11,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -249,33 +249,14 @@ class MetricReport:
     tdcf_at: dict[str, dict] | None = None
 
     def to_json_dict(self) -> dict:
-        out = {
-            "asv_eer": self.asv_eer,
-            "cm_eer": self.cm_eer,
-            "min_norm_tdcf": self.min_norm_tdcf,
-            "tau_cm_star": self.tau_cm_star,
-            "tau_asv": self.tau_asv,
-            "cross_task_eer": self.cross_task_eer,
-            "per_attack_cm_eer": dict(sorted(self.per_attack_cm_eer.items())),
-            "per_attack_asv_eer": dict(sorted(self.per_attack_asv_eer.items())),
-        }
-        if self.tdcf_at is not None:
-            out["tdcf_at"] = self.tdcf_at
+        out = asdict(self)
+        if self.tdcf_at is None:
+            del out["tdcf_at"]
         return out
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "MetricReport":
-        return cls(
-            asv_eer=d["asv_eer"],
-            cm_eer=d["cm_eer"],
-            min_norm_tdcf=d["min_norm_tdcf"],
-            tau_cm_star=d["tau_cm_star"],
-            tau_asv=d["tau_asv"],
-            cross_task_eer=d["cross_task_eer"],
-            per_attack_cm_eer=dict(d.get("per_attack_cm_eer", {})),
-            per_attack_asv_eer=dict(d.get("per_attack_asv_eer", {})),
-            tdcf_at=d.get("tdcf_at"),
-        )
+        return cls(**{f.name: d[f.name] for f in fields(cls) if f.name in d})
 
 
 def compute_metric_report(scores: ScoreSet, p: TandemCostParams) -> MetricReport:

@@ -3,14 +3,12 @@ the cross-run aggregation behind the comparison table and learning curves."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
 
 from .metrics import MetricReport
-
-TELEMETRY_HEADER = "step,epoch,method,seed,split,asv_eer,cm_eer,min_norm_tdcf,train_loss"
 
 
 def _fmt(value: float | None) -> str:
@@ -34,36 +32,22 @@ class TelemetryRow:
     train_loss: float | None
 
     def to_csv_line(self) -> str:
-        return ",".join(
-            [
-                str(self.step),
-                str(self.epoch),
-                self.method,
-                str(self.seed),
-                self.split,
-                _fmt(self.asv_eer),
-                _fmt(self.cm_eer),
-                _fmt(self.min_norm_tdcf),
-                _fmt(self.train_loss),
-            ]
-        )
+        return ",".join(fmt(getattr(self, name)) for name, fmt, _ in _CSV_COLUMNS)
 
     @classmethod
     def from_csv_line(cls, line: str) -> "TelemetryRow":
         parts = line.rstrip("\n").split(",")
-        if len(parts) != 9:
-            raise ValueError(f"expected 9 CSV fields, got {len(parts)}")
-        return cls(
-            step=int(parts[0]),
-            epoch=int(parts[1]),
-            method=parts[2],
-            seed=int(parts[3]),
-            split=parts[4],
-            asv_eer=_parse(parts[5]),
-            cm_eer=_parse(parts[6]),
-            min_norm_tdcf=_parse(parts[7]),
-            train_loss=_parse(parts[8]),
-        )
+        if len(parts) != len(_CSV_COLUMNS):
+            raise ValueError(f"expected {len(_CSV_COLUMNS)} CSV fields, got {len(parts)}")
+        return cls(*(parse(part) for (_, _, parse), part in zip(_CSV_COLUMNS, parts)))
+
+
+# (name, format, parse) of each CSV column, one per TelemetryRow field in
+# field order, chosen by the field's annotation; an optional float is
+# written exactly, or empty when missing.
+_CODECS = {"int": (str, int), "str": (str, str), "float | None": (_fmt, _parse)}
+_CSV_COLUMNS = tuple((f.name, *_CODECS[f.type]) for f in fields(TelemetryRow))
+TELEMETRY_HEADER = ",".join(name for name, _, _ in _CSV_COLUMNS)
 
 
 @dataclass

@@ -20,7 +20,7 @@ hard for the countermeasure, but largely harmless against verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from typing import Sequence
 
@@ -35,6 +35,7 @@ from .tandem_train import (
     asv_bce_target,
     bce_epoch,
     cm_bce_target,
+    label_pools,
 )
 from .types import AsvLabel, CmLabel, Trial, TrialLabel
 
@@ -95,30 +96,16 @@ class WorldConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in (
-            "n_speakers_train",
-            "n_speakers_dev",
-            "n_speakers_eval",
-            "trials_per_class_train",
-            "trials_per_class_dev",
-            "trials_per_class_eval",
-            "d_asv",
-            "d_cm",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        # Every count (an int field other than the seed) must be positive and
+        # every scale (a float field) non-negative.
+        for f in fields(self):
+            if f.type == "int" and f.name != "seed" and getattr(self, f.name) <= 0:
+                raise ValueError(f"{f.name} must be positive")
         if self.n_speakers_train < 2 or self.n_speakers_dev < 2 or self.n_speakers_eval < 2:
             raise ValueError("each split needs at least 2 speakers for nontarget trials")
-        for name in (
-            "speaker_scale",
-            "utterance_noise",
-            "spoof_offset_scale",
-            "cm_noise",
-            "cm_shift_scale",
-            "attack_dir_jitter",
-        ):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            if f.type == "float" and getattr(self, f.name) < 0:
+                raise ValueError(f"{f.name} must be >= 0")
         ids = [a.attack_id for a in self.attacks]
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate attack ids")
@@ -140,46 +127,19 @@ class WorldConfig:
         return getattr(self, f"trials_per_class_{split}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "n_speakers_train": self.n_speakers_train,
-            "n_speakers_dev": self.n_speakers_dev,
-            "n_speakers_eval": self.n_speakers_eval,
-            "trials_per_class_train": self.trials_per_class_train,
-            "trials_per_class_dev": self.trials_per_class_dev,
-            "trials_per_class_eval": self.trials_per_class_eval,
-            "d_asv": self.d_asv,
-            "d_cm": self.d_cm,
-            "speaker_scale": self.speaker_scale,
-            "utterance_noise": self.utterance_noise,
-            "spoof_offset_scale": self.spoof_offset_scale,
-            "cm_noise": self.cm_noise,
-            "cm_shift_scale": self.cm_shift_scale,
-            "attack_dir_jitter": self.attack_dir_jitter,
-            "attacks": [
-                {
-                    "attack_id": a.attack_id,
-                    "asv_effectiveness": a.asv_effectiveness,
-                    "cm_detectability": a.cm_detectability,
-                    "split": a.split.value,
-                }
-                for a in self.attacks
-            ],
-            "seed": self.seed,
-        }
+        return asdict(self, dict_factory=_json_values)
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WorldConfig":
-        d = dict(d)
-        d["attacks"] = tuple(
-            AttackSpec(
-                attack_id=a["attack_id"],
-                asv_effectiveness=a["asv_effectiveness"],
-                cm_detectability=a["cm_detectability"],
-                split=AttackSplit(a["split"]),
-            )
-            for a in d.get("attacks", [])
+        attacks = tuple(
+            AttackSpec(**{**a, "split": AttackSplit(a["split"])}) for a in d.get("attacks", [])
         )
-        return cls(**d)
+        return cls(**{**d, "attacks": attacks})
+
+
+def _json_values(items: list[tuple[str, object]]) -> dict:
+    """asdict's dict factory for JSON: enums are written as their values."""
+    return {k: v.value if isinstance(v, Enum) else v for k, v in items}
 
 
 DEFAULT_ATTACKS = (
@@ -349,16 +309,7 @@ class PretrainConfig:
     seed: int = 0
 
     def to_json_dict(self) -> dict:
-        return {
-            "asv_lr": self.asv_lr,
-            "asv_max_epochs": self.asv_max_epochs,
-            "cm_lr": self.cm_lr,
-            "cm_max_epochs": self.cm_max_epochs,
-            "batch_size": self.batch_size,
-            "hidden": self.hidden,
-            "plateau_tol": self.plateau_tol,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 # Consecutive non-improving epochs tolerated before the plateau stop fires.
@@ -395,7 +346,7 @@ def _pretrain_scorer(
         raise RuntimeError("pretraining diverged before the first epoch")
     stalled = 0
     for _ in range(max_epochs):
-        bce_epoch(scorer, pools, feature, target, cfg, rng)
+        bce_epoch(scorer, trials, pools, feature, target, cfg, rng)
         cur = _dataset_bce(scorer, x, y)
         if not math.isfinite(cur):
             raise RuntimeError("pretraining diverged (non-finite loss)")
@@ -423,16 +374,10 @@ def pretrain_pair(train: Sequence[Trial], pre: PretrainConfig) -> PolicyPair:
     rng_asv = np.random.default_rng(children[0])
     rng_cm = np.random.default_rng(children[1])
 
-    bona = [t for t in train if not t.label.is_spoof]
-    asv_pools = [
-        [t for t in bona if t.label.asv_label is AsvLabel.TARGET],
-        [t for t in bona if t.label.asv_label is AsvLabel.NONTARGET],
-    ]
-    cm_pools = [
-        [t for t in train if t.label.cm_label is CmLabel.BONAFIDE],
-        [t for t in train if t.label.cm_label is CmLabel.SPOOF],
-    ]
-    if not all(asv_pools) or not all(cm_pools):
+    cm_pools = label_pools(train, "cm_label")
+    bona = cm_pools[0] if len(cm_pools) == 2 else []
+    asv_pools = label_pools(bona, "asv_label")
+    if len(asv_pools) < 2:
         raise ValueError("pretraining needs every class present in the train split")
 
     d_asv = train[0].x_asv.size

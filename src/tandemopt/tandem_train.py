@@ -1,8 +1,12 @@
 """Tandem optimization: REINFORCE with plain and cost-weighted rewards (with
 optional calibrated accept probabilities), the separate-finetuning baseline,
-and the soft-cost trainer, all behind a single run_method dispatcher.
+and the soft-cost trainer.
 
-One training run owns its RNG stream and is strictly sequential, so a fixed
+Every method runs through one batch loop (train_epoch) inside one epoch loop
+(run_method). A method supplies only its batch source and its step, which
+updates the systems from one batch and returns that batch's loss.
+
+One training run owns its RNG streams and is strictly sequential, so a fixed
 seed reproduces the run bit for bit.
 """
 
@@ -10,19 +14,21 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Callable, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .calibration import Calibrator, sigmoid, train_calibrator
-from .metrics import compute_metric_report, eer_arrays, filter_attacks
+from .metrics import MetricReport, compute_metric_report, eer_arrays, filter_attacks
 from .nn import Direction, ForwardCache, GradientTape, Scorer
-from .records import RunRecord, TelemetryRow
+from .records import METRIC_FIELDS, RunRecord, TelemetryRow
 from .soft_tdcf import SoftThresholds, soft_tdcf_train_step
 from .types import (
     AsvLabel,
+    ClassScores,
     CmLabel,
     Decision,
     ScoreSet,
@@ -93,18 +99,13 @@ class TrainConfig:
             raise ValueError("batch_size must be positive")
         if self.epochs < 0:
             raise ValueError("epochs must be >= 0")
+        for name in ("lr", "soft_temperature"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
 
     def to_json_dict(self) -> dict:
-        return {
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "balanced": self.balanced,
-            "seed": self.seed,
-            "use_reward_baseline": self.use_reward_baseline,
-            "train_calibration": self.train_calibration,
-            "soft_temperature": self.soft_temperature,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -250,23 +251,29 @@ def reward(spec: RewardSpec, a_tandem: Decision, label: TrialLabel) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Minibatch sampling
+# Minibatch sampling and the batch loop
 # ---------------------------------------------------------------------------
 
-
-def _class_key(label: TrialLabel) -> str:
-    if label.is_target_bonafide:
-        return "tb"
-    if label.is_nontarget_bonafide:
-        return "nb"
-    return "sp"
+# The label fields that split trials into target-bonafide, nontarget-bonafide
+# and spoof pools, in that order (a spoof always claims the target).
+TANDEM_CLASS = ("cm_label", "asv_label")
 
 
-def class_pools(data: Sequence[Trial]) -> tuple[list[Trial], list[Trial], list[Trial]]:
-    tb = [t for t in data if t.label.is_target_bonafide]
-    nb = [t for t in data if t.label.is_nontarget_bonafide]
-    sp = [t for t in data if t.label.is_spoof]
-    return tb, nb, sp
+def label_pools(data: Sequence[Trial], *fields: str) -> list[list[Trial]]:
+    """The trials grouped by the values of the given TrialLabel fields: one
+    pool per combination present, in data order within a pool. Pools follow
+    the fields' enum declaration order, the first field varying slowest."""
+    key = attrgetter(*fields)
+    pools: dict[object, list[Trial]] = {}
+    for t in data:
+        pools.setdefault(key(t.label), []).append(t)
+    return [pools[k] for k in sorted(pools, key=_declaration_rank)]
+
+
+def _declaration_rank(key: Enum | tuple[Enum, ...]) -> list[int]:
+    """Declaration index of an enum member, or of each member of a tuple."""
+    members = key if isinstance(key, tuple) else (key,)
+    return [list(type(m)).index(m) for m in members]
 
 
 def _balanced_batch(
@@ -280,18 +287,44 @@ def _balanced_batch(
     return batch
 
 
-def iterate_batches(data: Sequence[Trial], cfg: TrainConfig, rng: np.random.Generator):
+def _minibatches(
+    data: Sequence[Trial], pools: Sequence[Sequence[Trial]], cfg: TrainConfig, rng: np.random.Generator
+) -> Iterator[list[Trial]]:
     """One epoch worth of minibatches: ceil(N/B) batches of size B when
-    class-balanced (with replacement), or a shuffled partition otherwise."""
+    balanced over the given class pools of data (with replacement), or a
+    shuffled partition of data otherwise."""
     n_batches = math.ceil(len(data) / cfg.batch_size)
     if cfg.balanced:
-        pools = [p for p in class_pools(data) if p]
         for _ in range(n_batches):
             yield _balanced_batch(pools, cfg.batch_size, rng)
     else:
         order = rng.permutation(len(data))
         for i in range(n_batches):
             yield [data[j] for j in order[i * cfg.batch_size : (i + 1) * cfg.batch_size]]
+
+
+def iterate_batches(data: Sequence[Trial], cfg: TrainConfig, rng: np.random.Generator):
+    """One epoch of the tandem methods' minibatches; balanced sampling picks
+    target-bonafide, nontarget-bonafide and spoof trials equally often."""
+    return _minibatches(data, label_pools(data, *TANDEM_CLASS), cfg, rng)
+
+
+def train_epoch(
+    batches: Iterable[tuple], step: Callable[..., float | None], seen_ids: set[str] | None = None
+) -> list[float]:
+    """The batch loop of every method. A batch holds one trial list per
+    sampling stream; step(*batch) updates the systems from it and returns
+    the batch loss, or None when it skips the batch. Returns the losses of
+    the batches trained on and adds their trial ids to seen_ids."""
+    losses = []
+    for batch in batches:
+        loss = step(*batch)
+        if loss is None:
+            continue
+        if seen_ids is not None:
+            seen_ids.update(t.id for trials in batch for t in trials)
+        losses.append(loss)
+    return losses
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +334,17 @@ def iterate_batches(data: Sequence[Trial], cfg: TrainConfig, rng: np.random.Gene
 
 def _reward_table(spec: RewardSpec, batch: Sequence[Trial]) -> np.ndarray:
     """(n, 2) rewards of each trial for a tandem reject (column 0) and
-    accept (column 1), from one reward() call per class and decision."""
-    by_class: dict[str, tuple[float, float]] = {}
+    accept (column 1), from one reward() pair per distinct label."""
+    by_label: dict[TrialLabel, tuple[float, float]] = {}
     rows = []
     for t in batch:
-        key = _class_key(t.label)
-        if key not in by_class:
-            by_class[key] = (
+        row = by_label.get(t.label)
+        if row is None:
+            row = by_label[t.label] = (
                 reward(spec, Decision.REJECT, t.label),
                 reward(spec, Decision.ACCEPT, t.label),
             )
-        rows.append(by_class[key])
+        rows.append(row)
     return np.asarray(rows, dtype=np.float64)
 
 
@@ -365,10 +398,8 @@ def reinforce_epoch(
     """One epoch of REINFORCE: per minibatch, one gradient-ascent step of
     size cfg.lr on both policies (and on the calibration heads when
     cfg.train_calibration). Returns per-batch surrogate values."""
-    losses = []
-    for batch in iterate_batches(data, cfg, rng):
-        if seen_ids is not None:
-            seen_ids.update(t.id for t in batch)
+
+    def step(batch: Sequence[Trial]) -> float:
         asv_cal = np.zeros(2) if cfg.train_calibration else None
         cm_cal = np.zeros(2) if cfg.train_calibration else None
         surrogate, tape_asv, tape_cm = reinforce_batch(
@@ -383,8 +414,9 @@ def reinforce_epoch(
                     policy.calibrator = replace(
                         c, a=c.a + cfg.lr * float(grad[0]), b=c.b + cfg.lr * float(grad[1])
                     )
-        losses.append(surrogate)
-    return losses
+        return surrogate
+
+    return train_epoch(zip(iterate_batches(data, cfg, rng)), step, seen_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -407,35 +439,35 @@ def bce_batch(
     return loss, tape
 
 
+def bce_step(
+    scorer: Scorer,
+    batch: Sequence[Trial],
+    feature: Callable[[Trial], np.ndarray],
+    target: Callable[[Trial], float],
+    lr: float,
+) -> float:
+    """One descent step on the batch's binary cross-entropy; returns the
+    loss before the step."""
+    loss, tape = bce_batch(scorer, [(feature(t), target(t)) for t in batch])
+    scorer.sgd_step(tape, lr, Direction.DESCENT)
+    return loss
+
+
 def bce_epoch(
     scorer: Scorer,
+    data: Sequence[Trial],
     pools: Sequence[Sequence[Trial]],
     feature: Callable[[Trial], np.ndarray],
     target: Callable[[Trial], float],
     cfg: TrainConfig,
     rng: np.random.Generator,
-    seen_ids: set[str] | None = None,
 ) -> list[float]:
-    """One epoch of descent on binary cross-entropy over the given class
-    pools (balanced with replacement when cfg.balanced)."""
-    pools = [p for p in pools if p]
-    n_total = sum(len(p) for p in pools)
-    n_batches = math.ceil(n_total / cfg.batch_size)
-    losses = []
-    flat = [t for pool in pools for t in pool]
-    if not cfg.balanced:
-        order = rng.permutation(n_total)
-    for b in range(n_batches):
-        if cfg.balanced:
-            batch = _balanced_batch(pools, cfg.batch_size, rng)
-        else:
-            batch = [flat[j] for j in order[b * cfg.batch_size : (b + 1) * cfg.batch_size]]
-        if seen_ids is not None:
-            seen_ids.update(t.id for t in batch)
-        loss, tape = bce_batch(scorer, [(feature(t), target(t)) for t in batch])
-        scorer.sgd_step(tape, cfg.lr, Direction.DESCENT)
-        losses.append(loss)
-    return losses
+    """One epoch of descent on binary cross-entropy over data, balanced
+    over its class pools when cfg.balanced."""
+    return train_epoch(
+        zip(_minibatches(data, pools, cfg, rng)),
+        lambda batch: bce_step(scorer, batch, feature, target, cfg.lr),
+    )
 
 
 def asv_bce_target(trial: Trial) -> float:
@@ -457,29 +489,26 @@ def finetune_epoch(
     """One epoch of the no-tandem baseline: each scorer descends its own
     binary cross-entropy against its own label. Each system samples from
     pools keyed by its own label with its own RNG stream, so neither system
-    is influenced by the other's labels.
+    is influenced by the other's labels, and taking their steps in turn
+    gives the same result as one whole pass per system.
 
     Returns per-batch means of the two task losses.
     """
-    asv_pools = [
-        [t for t in data if t.label.asv_label is AsvLabel.TARGET],
-        [t for t in data if t.label.asv_label is AsvLabel.NONTARGET],
-    ]
-    cm_pools = [
-        [t for t in data if t.label.cm_label is CmLabel.BONAFIDE],
-        [t for t in data if t.label.cm_label is CmLabel.SPOOF],
-    ]
-    asv_losses = bce_epoch(
-        pair.asv.scorer, asv_pools, lambda t: t.x_asv, asv_bce_target, cfg, rng_asv, seen_ids
+
+    def step(asv_batch: Sequence[Trial], cm_batch: Sequence[Trial]) -> float:
+        asv_loss = bce_step(pair.asv.scorer, asv_batch, lambda t: t.x_asv, asv_bce_target, cfg.lr)
+        cm_loss = bce_step(pair.cm.scorer, cm_batch, lambda t: t.x_cm, cm_bce_target, cfg.lr)
+        return (asv_loss + cm_loss) / 2.0
+
+    batches = zip(
+        _minibatches(data, label_pools(data, "asv_label"), cfg, rng_asv),
+        _minibatches(data, label_pools(data, "cm_label"), cfg, rng_cm),
     )
-    cm_losses = bce_epoch(
-        pair.cm.scorer, cm_pools, lambda t: t.x_cm, cm_bce_target, cfg, rng_cm, seen_ids
-    )
-    return [(a + c) / 2.0 for a, c in zip(asv_losses, cm_losses)]
+    return train_epoch(batches, step, seen_ids)
 
 
 # ---------------------------------------------------------------------------
-# Evaluation and method dispatch
+# Evaluation and the epoch loop
 # ---------------------------------------------------------------------------
 
 
@@ -554,101 +583,78 @@ def run_method(
             f"unknown method {method!r}; valid: {[m.value for m in Method]}"
         )
     pair = pretrained.clone()
-    rng = np.random.default_rng(cfg.seed)
-    ft_children = np.random.SeedSequence(cfg.seed).spawn(2)
-    rng_asv = np.random.default_rng(ft_children[0])
-    rng_cm = np.random.default_rng(ft_children[1])
-
     if method in (Method.REINFORCE_CALIB, Method.REINFORCE_CALIB_TDCF):
         pair = fit_calibrators(pair, splits.train, p)
-
-    taus: SoftThresholds | None = None
-    if method is Method.SOFT_TDCF:
-        # Start the surrogate at the evaluation operating point: the hard EER
-        # thresholds of the pretrained systems on the tandem-training data.
-        cs = score_trials(pair, splits.dev).class_split()
-        cs.require_all_classes()
-        tau_asv = eer_arrays(cs.tb_asv, cs.nb_asv)[1]
-        tau_cm = eer_arrays(np.concatenate([cs.tb_cm, cs.nb_cm]), cs.sp_cm)[1]
-        taus = SoftThresholds(tau_asv=tau_asv, tau_cm=tau_cm)
 
     record = RunRecord(method=method.value, seed=cfg.seed, config=cfg.to_json_dict())
     step = 0
 
-    def add_report(split: str, epoch: int, scores: ScoreSet) -> None:
-        report = compute_metric_report(scores, p)
-        record.add_report(split, epoch, report)
+    def add_row(epoch: int, split: str, report: MetricReport | None, loss: float | None) -> None:
+        metrics = {m: None if report is None else getattr(report, m) for m in METRIC_FIELDS}
         record.rows.append(
-            TelemetryRow(
-                step=step,
-                epoch=epoch,
-                method=method.value,
-                seed=cfg.seed,
-                split=split,
-                asv_eer=report.asv_eer,
-                cm_eer=report.cm_eer,
-                min_norm_tdcf=report.min_norm_tdcf,
-                train_loss=None,
-            )
+            TelemetryRow(step, epoch, method.value, cfg.seed, split, **metrics, train_loss=loss)
         )
 
-    def evaluate(epoch: int) -> None:
-        add_report("dev", epoch, score_trials(pair, splits.dev))
+    def add_report(split: str, epoch: int, scores: ScoreSet) -> ClassScores:
+        report = compute_metric_report(scores, p)
+        record.add_report(split, epoch, report)
+        add_row(epoch, split, report, None)
+        return scores.class_split()
+
+    def evaluate(epoch: int) -> ClassScores:
+        # Keep only the dev class split (SOFT_TDCF's start), so the dev
+        # ScoreSet is freed before eval is scored.
+        dev_classes = add_report("dev", epoch, score_trials(pair, splits.dev))
         eval_scores = score_trials(pair, splits.eval)
         add_report("eval", epoch, eval_scores)
         if exclude_attacks is not None:
             add_report(EVAL_FILTERED_SPLIT, epoch, filter_attacks(eval_scores, exclude_attacks))
+        return dev_classes
 
-    evaluate(epoch=0)
+    dev_classes = evaluate(epoch=0)
+    rng = np.random.default_rng(cfg.seed)
+    taus: SoftThresholds | None = None
+    if method is Method.FINETUNE:
+        rng_asv, rng_cm = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(2))
+
+        def train(seen_ids: set[str]) -> list[float]:
+            return finetune_epoch(pair, splits.dev, cfg, rng_asv, rng_cm, seen_ids)
+
+    elif method is Method.SOFT_TDCF:
+        # Start the surrogate at the evaluation operating point: the hard EER
+        # thresholds of the pretrained systems on the tandem-training data
+        # (epoch 0's dev scores, whose report already required every class).
+        bona_cm = np.concatenate([dev_classes.tb_cm, dev_classes.nb_cm])
+        taus = SoftThresholds(
+            tau_asv=eer_arrays(dev_classes.tb_asv, dev_classes.nb_asv)[1],
+            tau_cm=eer_arrays(bona_cm, dev_classes.sp_cm)[1],
+        )
+
+        def soft_step(batch: Sequence[Trial]) -> float | None:
+            # Soft rates are per-class means, so a batch must contain all
+            # three classes. A balanced batch of the default size misses a
+            # class with negligible probability; tiny batches may not.
+            if len(label_pools(batch, *TANDEM_CLASS)) < 3:
+                logger.debug("skipping soft-cost batch missing a class")
+                return None
+            return soft_tdcf_train_step(
+                pair.asv.scorer, pair.cm.scorer, taus, batch, p, cfg.lr, cfg.soft_temperature
+            )
+
+        def train(seen_ids: set[str]) -> list[float]:
+            return train_epoch(zip(iterate_batches(splits.dev, cfg, rng)), soft_step, seen_ids)
+
+    else:
+        kind = _REWARD_BY_METHOD[method]
+        spec = RewardSpec(kind, p if kind is RewardKind.TDCF_SINGLE else None)
+
+        def train(seen_ids: set[str]) -> list[float]:
+            return reinforce_epoch(pair, splits.dev, spec, cfg, rng, seen_ids)
+
     for epoch in range(1, cfg.epochs + 1):
-        if method is Method.FINETUNE:
-            batch_losses = finetune_epoch(
-                pair, splits.dev, cfg, rng_asv, rng_cm, record.trained_trial_ids
-            )
-        elif method is Method.SOFT_TDCF:
-            batch_losses = []
-            for batch in iterate_batches(splits.dev, cfg, rng):
-                # Soft rates are per-class means, so a batch must contain all
-                # three classes. A balanced batch of the default size misses a
-                # class with negligible probability; tiny batches may not.
-                if len({_class_key(t.label) for t in batch}) < 3:
-                    logger.debug("skipping soft-cost batch missing a class")
-                    continue
-                record.trained_trial_ids.update(t.id for t in batch)
-                batch_losses.append(
-                    soft_tdcf_train_step(
-                        pair.asv.scorer,
-                        pair.cm.scorer,
-                        taus,
-                        batch,
-                        p,
-                        cfg.lr,
-                        temperature=cfg.soft_temperature,
-                    )
-                )
-        else:
-            spec = RewardSpec(
-                _REWARD_BY_METHOD[method],
-                p if _REWARD_BY_METHOD[method] is RewardKind.TDCF_SINGLE else None,
-            )
-            batch_losses = reinforce_epoch(
-                pair, splits.dev, spec, cfg, rng, record.trained_trial_ids
-            )
-        for loss in batch_losses:
+        for loss in train(record.trained_trial_ids):
             step += 1
-            record.rows.append(
-                TelemetryRow(
-                    step=step,
-                    epoch=epoch,
-                    method=method.value,
-                    seed=cfg.seed,
-                    split="train",
-                    asv_eer=None,
-                    cm_eer=None,
-                    min_norm_tdcf=None,
-                    train_loss=loss,
-                )
-            )
+            add_row(epoch, "train", None, loss)
         evaluate(epoch=epoch)
 
     record.final_pair = pair

@@ -321,7 +321,9 @@ def write_features(path, trials: Iterable[Trial]) -> None:
 
 
 def read_features(path, labels: dict[str, TrialLabel], d_asv: int, d_cm: int) -> list[Trial]:
-    trials = []
+    """One trial per protocol entry, in file order; a protocol trial without
+    a feature line, or a repeated line, is an error."""
+    trials: dict[str, Trial] = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
@@ -334,13 +336,13 @@ def read_features(path, labels: dict[str, TrialLabel], d_asv: int, d_cm: int) ->
             trial_id = parts[0]
             if trial_id not in labels:
                 raise ValueError(f"{path}:{lineno}: trial {trial_id!r} not in protocol")
+            if trial_id in trials:
+                raise ValueError(f"{path}:{lineno}: duplicate trial {trial_id!r}")
             values = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
-            trials.append(
-                Trial(
-                    id=trial_id,
-                    x_asv=values[:d_asv],
-                    x_cm=values[d_asv:],
-                    label=labels[trial_id],
-                )
-            )
-    return trials
+            trials[trial_id] = Trial(trial_id, values[:d_asv], values[d_asv:], labels[trial_id])
+    missing = [trial_id for trial_id in labels if trial_id not in trials]
+    if missing:
+        raise ValueError(
+            f"{path}: no features for {len(missing)} protocol trial(s), first {missing[0]!r}"
+        )
+    return list(trials.values())

@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -197,6 +198,70 @@ class TestEvaluate:
         )
         assert rc == 2
         assert "dims mismatch" in capsys.readouterr().err
+
+
+class TestInputChecks:
+    def evaluate(self, ckpt, data, tmp_path):
+        return main(["evaluate", "--ckpt", str(ckpt), "--data", str(data), "--out",
+                     str(tmp_path / "r.json")])
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [({"format": "tandemopt-checkpoint-v0"}, "format 'tandemopt-checkpoint-v0'"),
+         ({"format": None}, "format None"),
+         ({"pair": None}, "no 'pair' entry")],
+    )
+    def test_checkpoint_checked(self, workspace, tmp_path, capsys, change, message):
+        _, _, data, ckpt = workspace
+        payload = json.loads(Path(ckpt).read_text())
+        for key, value in change.items():
+            if value is None:
+                del payload[key]
+            else:
+                payload[key] = value
+        bad = tmp_path / "bad_ckpt.json"
+        bad.write_text(json.dumps(payload))
+        assert self.evaluate(bad, data, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(bad) in err and message in err
+
+    def test_checkpoint_not_an_object(self, workspace, tmp_path, capsys):
+        _, _, data, _ = workspace
+        bad = tmp_path / "list_ckpt.json"
+        bad.write_text("[]")
+        assert self.evaluate(bad, data, tmp_path) == 2
+        assert f"checkpoint {bad} has format None" in capsys.readouterr().err
+
+    def test_manifest_without_config(self, workspace, tmp_path, capsys):
+        _, _, data, ckpt = workspace
+        copy = shutil.copytree(data, tmp_path / "data")
+        manifest = json.loads((copy / "manifest.json").read_text())
+        del manifest["config"]
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        assert self.evaluate(ckpt, copy, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(copy / "manifest.json") in err and "no 'config' entry" in err
+
+    def test_missing_feature_line(self, workspace, tmp_path, capsys):
+        _, _, data, ckpt = workspace
+        copy = shutil.copytree(data, tmp_path / "data")
+        features = copy / "eval.features.txt"
+        lines = features.read_text().splitlines(keepends=True)
+        dropped = lines.pop(7).split()[0]
+        features.write_text("".join(lines))
+        assert self.evaluate(ckpt, copy, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert str(features) in err and repr(dropped) in err
+
+    @pytest.mark.parametrize("flag", [["--lr", "-0.05"], ["--lr", "nan"], ["--lr", "0"]])
+    def test_bad_learning_rate(self, workspace, tmp_path, capsys, flag):
+        _, _, data, ckpt = workspace
+        out = tmp_path / "runs"
+        rc = main(["train-tandem", "--method", "REINFORCE", "--ckpt", str(ckpt), "--data",
+                   str(data), "--seeds", "1", "--epochs", "1", "--out", str(out)] + flag)
+        assert rc == 2
+        assert "lr must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

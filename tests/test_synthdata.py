@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -64,6 +65,30 @@ class TestWorldConfig:
     def test_json_round_trip(self):
         cfg = default_world_config(seed=5)
         assert WorldConfig.from_json_dict(cfg.to_json_dict()) == cfg
+
+    def test_json_writes_attack_splits_as_values(self):
+        d = json.loads(json.dumps(default_world_config().to_json_dict()))
+        assert d["attacks"][0] == {
+            "attack_id": "A01", "asv_effectiveness": 0.9, "cm_detectability": 0.8, "split": "seen"
+        }
+        assert d["seed"] == 7 and d["cm_noise"] == 2.5
+
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"d_cm": 0}, "d_cm must be positive"),
+            ({"trials_per_class_eval": -1}, "trials_per_class_eval must be positive"),
+            ({"n_speakers_dev": 1}, "at least 2 speakers"),
+            ({"attack_dir_jitter": -0.1}, "attack_dir_jitter must be >= 0"),
+            ({"seed": 0, "speaker_scale": 0.0}, None),
+        ],
+    )
+    def test_counts_positive_and_scales_non_negative(self, override, message):
+        if message is None:
+            dataclasses.replace(default_world_config(), **override)
+        else:
+            with pytest.raises(ValueError, match=message):
+                dataclasses.replace(default_world_config(), **override)
 
 
 class TestGenerateWorld:

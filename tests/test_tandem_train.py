@@ -1,11 +1,13 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from tandemopt.calibration import Calibrator, sigmoid
-from tandemopt.nn import SCORE_BLOCK_ROWS, Activation, Scorer, finite_diff_check
+from tandemopt.nn import SCORE_BLOCK_ROWS, Activation, Direction, Scorer, finite_diff_check
 from tandemopt.tandem_train import (
+    TANDEM_CLASS,
     Method,
     Policy,
     PolicyPair,
@@ -14,10 +16,13 @@ from tandemopt.tandem_train import (
     Splits,
     TrainConfig,
     TrainingDivergedError,
+    _balanced_batch,
+    asv_bce_target,
     bce_batch,
-    class_pools,
+    cm_bce_target,
     finetune_epoch,
     iterate_batches,
+    label_pools,
     policy_accept_probability,
     policy_backward,
     reinforce_batch,
@@ -347,6 +352,44 @@ class TestScoreTrials:
             assert e.cm_score == pytest.approx(pair.cm.scorer.forward(t.x_cm)[0], rel=1e-12)
 
 
+class TestTrainConfig:
+    @pytest.mark.parametrize("name", ["lr", "soft_temperature"])
+    @pytest.mark.parametrize("value", [0.0, -0.05, math.nan, math.inf])
+    def test_step_sizes_must_be_finite_and_positive(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            TrainConfig(**{name: value})
+
+    def test_json_dict_lists_every_field_in_order(self):
+        cfg = TrainConfig(lr=0.05, seed=3, train_calibration=True)
+        assert list(cfg.to_json_dict().items()) == [
+            ("lr", 0.05),
+            ("batch_size", 64),
+            ("epochs", 5),
+            ("balanced", True),
+            ("seed", 3),
+            ("use_reward_baseline", False),
+            ("train_calibration", True),
+            ("soft_temperature", 1.0),
+        ]
+
+
+class TestLabelPools:
+    def test_tandem_classes_in_fixed_order_whatever_the_data_order(self):
+        trials = [
+            Trial(name, np.zeros(1), np.zeros(1), label)
+            for name, label in [("sp0", SP), ("nb0", NB), ("sp1", SP), ("tb0", TB), ("nb1", NB)]
+        ]
+        pools = label_pools(trials, *TANDEM_CLASS)
+        assert [[t.id for t in pool] for pool in pools] == [["tb0"], ["nb0", "nb1"], ["sp0", "sp1"]]
+
+    def test_one_field_and_missing_values(self):
+        trials = [Trial(f"t{i}", np.zeros(1), np.zeros(1), lab) for i, lab in enumerate([SP, NB, TB])]
+        by_asv = label_pools(trials, "asv_label")
+        assert [[t.id for t in pool] for pool in by_asv] == [["t0", "t2"], ["t1"]]
+        assert [[t.id for t in pool] for pool in label_pools(trials[1:], "cm_label")] == [["t1", "t2"]]
+        assert label_pools([], "cm_label") == []
+
+
 class TestBalancedSampling:
     def test_class_frequencies_near_uniform(self):
         rng = np.random.default_rng(8)
@@ -472,6 +515,109 @@ class TestFinetune:
             np.array_equal(x, y)
             for x, y in zip(a.cm.scorer.weights, b.cm.scorer.weights)
         )
+
+
+def two_pass_finetune_epoch(pair, data, cfg, rng_asv, rng_cm):
+    """The finetune epoch as one whole ASV pass, then one whole CM pass, each
+    through _balanced_batch and bce_batch (balanced sampling only)."""
+    n_batches = math.ceil(len(data) / cfg.batch_size)
+    losses = {}
+    for system, feature, target, field, rng in (
+        (pair.asv, lambda t: t.x_asv, asv_bce_target, "asv_label", rng_asv),
+        (pair.cm, lambda t: t.x_cm, cm_bce_target, "cm_label", rng_cm),
+    ):
+        labels = list(AsvLabel) if field == "asv_label" else list(CmLabel)
+        pools = [[t for t in data if getattr(t.label, field) is v] for v in labels]
+        pools = [pool for pool in pools if pool]
+        losses[field] = []
+        for _ in range(n_batches):
+            batch = _balanced_batch(pools, cfg.batch_size, rng)
+            loss, tape = bce_batch(system.scorer, [(feature(t), target(t)) for t in batch])
+            system.scorer.sgd_step(tape, cfg.lr, Direction.DESCENT)
+            losses[field].append(loss)
+    return [(a + c) / 2.0 for a, c in zip(losses["asv_label"], losses["cm_label"])]
+
+
+def reference_reinforce_epoch(pair, data, spec, cfg, rng):
+    """The REINFORCE epoch written out: iterate_batches, reinforce_batch, one
+    ascent step per system and, with cfg.train_calibration, per head."""
+    losses = []
+    for batch in iterate_batches(data, cfg, rng):
+        grads = [np.zeros(2), np.zeros(2)] if cfg.train_calibration else [None, None]
+        surrogate, tape_asv, tape_cm = reinforce_batch(
+            pair, batch, spec, rng, cfg.use_reward_baseline, *grads
+        )
+        pair.asv.scorer.sgd_step(tape_asv, cfg.lr, Direction.ASCENT)
+        pair.cm.scorer.sgd_step(tape_cm, cfg.lr, Direction.ASCENT)
+        if cfg.train_calibration:
+            for policy, grad in zip((pair.asv, pair.cm), grads):
+                c = policy.calibrator
+                policy.calibrator = replace(c, a=c.a + cfg.lr * grad[0], b=c.b + cfg.lr * grad[1])
+        losses.append(surrogate)
+    return losses
+
+
+def assert_same_weights(a, b):
+    def params(pair):
+        return [p for s in (pair.asv.scorer, pair.cm.scorer) for p in s.weights + s.biases]
+
+    assert all(np.array_equal(x, y) for x, y in zip(params(a), params(b)))
+
+
+def hidden_pair(d=2):
+    return PolicyPair(
+        Policy(Scorer.create([d, 4, 1], seed=21)), Policy(Scorer.create([d, 4, 1], seed=22))
+    )
+
+
+class TestEpochsMatchReference:
+    def test_finetune_matches_two_pass_reference_bit_for_bit(self):
+        data = toy_trials(np.random.default_rng(40), n_per_class=9)
+        cfg = TrainConfig(lr=0.3, batch_size=5, seed=0)
+        pair, ref = hidden_pair(), hidden_pair()
+        for epoch in range(3):
+            rngs = [np.random.default_rng(100 + epoch), np.random.default_rng(200 + epoch)]
+            ref_rngs = [np.random.default_rng(100 + epoch), np.random.default_rng(200 + epoch)]
+            seen = set()
+            losses = finetune_epoch(pair, data, cfg, *rngs, seen)
+            assert losses == two_pass_finetune_epoch(ref, data, cfg, *ref_rngs)
+            assert [r.bit_generator.state for r in rngs] == [r.bit_generator.state for r in ref_rngs]
+            assert seen and seen <= {t.id for t in data}
+            assert_same_weights(pair, ref)
+        assert not np.array_equal(pair.asv.scorer.weights[0], hidden_pair().asv.scorer.weights[0])
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            {"train_calibration": True},
+            {"use_reward_baseline": True},
+            {"train_calibration": True, "use_reward_baseline": True},
+        ],
+    )
+    def test_reinforce_extras_match_reference(self, flags):
+        data = toy_trials(np.random.default_rng(41), n_per_class=8)
+        cfg = TrainConfig(lr=0.2, batch_size=6, seed=0, **flags)
+
+        def calibrated():
+            pair = hidden_pair()
+            pair.asv.calibrator = Calibrator(a=1.2, b=-0.1, prior_log_odds=0.4)
+            pair.cm.calibrator = Calibrator(a=0.9, b=0.2, prior_log_odds=-0.6)
+            return pair
+
+        pair, ref, plain = calibrated(), calibrated(), calibrated()
+        losses = reinforce_epoch(pair, data, TDCF1, cfg, np.random.default_rng(42))
+        assert losses == reference_reinforce_epoch(ref, data, TDCF1, cfg, np.random.default_rng(42))
+        assert_same_weights(pair, ref)
+        assert (pair.asv.calibrator, pair.cm.calibrator) == (ref.asv.calibrator, ref.cm.calibrator)
+        # Each extra changes the outcome against a run without it.
+        without = replace(cfg, **dict.fromkeys(flags, False))
+        reinforce_epoch(plain, data, TDCF1, without, np.random.default_rng(42))
+        if cfg.train_calibration:
+            assert pair.asv.calibrator != plain.asv.calibrator
+            assert pair.cm.calibrator != plain.cm.calibrator
+        else:
+            assert pair.asv.calibrator == plain.asv.calibrator
+        assert not np.array_equal(pair.asv.scorer.weights[0], plain.asv.scorer.weights[0])
 
 
 def tiny_splits(rng):

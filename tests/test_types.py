@@ -189,6 +189,16 @@ class TestTextFormats:
             assert np.array_equal(a.x_asv, b.x_asv)
             assert np.array_equal(a.x_cm, b.x_cm)
 
+    @pytest.mark.parametrize("lines, message", [([0, 2], "first 't1'"), ([0, 1, 1, 2], "duplicate")])
+    def test_features_must_cover_protocol_once(self, tmp_path, lines, message):
+        l = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
+        trials = [Trial(f"t{i}", np.zeros(3), np.zeros(2), l) for i in range(3)]
+        path = tmp_path / "f.txt"
+        write_features(path, [trials[i] for i in lines])
+        with pytest.raises(ValueError, match=message) as err:
+            read_features(path, {t.id: l for t in trials}, d_asv=3, d_cm=2)
+        assert str(path) in str(err.value)
+
     def test_features_dimension_mismatch(self, tmp_path):
         l = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
         t = Trial("t0", np.zeros(3), np.zeros(2), l)
