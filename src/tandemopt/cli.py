@@ -69,6 +69,15 @@ def _write_json(path: Path, payload: dict) -> None:
         fh.write("\n")
 
 
+def _read_json(path: Path, what: str):
+    """The payload of a JSON file the CLI reads; one that does not parse
+    is an error naming the file."""
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise CliError(f"{what} {path} is not valid JSON: {exc}") from exc
+
+
 def _write_manifest(out_dir: Path, command: str, config: dict, files: list[str]) -> None:
     _write_json(
         out_dir / DATA_MANIFEST,
@@ -148,10 +157,15 @@ def _load_manifest(data_dir: Path) -> WorldConfig:
     manifest_path = data_dir / DATA_MANIFEST
     if not manifest_path.exists():
         raise CliError(f"missing {manifest_path}; run gen-data first")
-    manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
-    if "config" not in manifest:
+    manifest = _read_json(manifest_path, "manifest")
+    if not isinstance(manifest, dict) or "config" not in manifest:
         raise CliError(f"manifest {manifest_path} has no 'config' entry")
-    return WorldConfig.from_json_dict(manifest["config"])
+    try:
+        return WorldConfig.from_json_dict(manifest["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CliError(
+            f"manifest {manifest_path} has an invalid 'config': {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _load_split(data_dir: Path, cfg: WorldConfig, split: str) -> tuple[Trial, ...]:
@@ -172,7 +186,7 @@ def _load_data_dir(data_dir: Path) -> tuple[WorldConfig, Splits]:
 def _load_checkpoint(path: Path) -> PolicyPair:
     if not path.exists():
         raise CliError(f"checkpoint {path} does not exist")
-    payload = json.loads(path.read_text(encoding="utf-8"))
+    payload = _read_json(path, "checkpoint")
     tag = payload.get("format") if isinstance(payload, dict) else None
     if tag != CHECKPOINT_FORMAT:
         raise CliError(f"checkpoint {path} has format {tag!r}, expected {CHECKPOINT_FORMAT!r}")
@@ -370,8 +384,14 @@ def cmd_report(args) -> int:
         summary_path = csv_path.with_name(csv_path.stem + "_summary.json")
         if not summary_path.exists():
             raise CliError(f"missing {summary_path} for {csv_path}")
-        summary = json.loads(summary_path.read_text(encoding="utf-8"))
-        runs.append(RunRecord.from_summary_json_dict(summary, rows=read_rows_csv(csv_path)))
+        summary = _read_json(summary_path, "run summary")
+        rows = read_rows_csv(csv_path)
+        try:
+            runs.append(RunRecord.from_summary_json_dict(summary, rows=rows))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliError(
+                f"run summary {summary_path} is malformed: {type(exc).__name__}: {exc}"
+            ) from exc
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     try:

@@ -128,11 +128,8 @@ def tandem_error_rates(
 
 def tdcf(rates: ErrorRates, p: TandemCostParams) -> float:
     """Tandem detection cost of the four error rates under the given params."""
-    return (
-        p.c_miss * p.rho_tar * (rates.p_a + rates.p_d)
-        + p.c_fa * p.rho_non * rates.p_b
-        + p.c_fa_spoof * p.rho_spoof * rates.p_c
-    )
+    w_tar, w_non, w_spoof = p.class_weights
+    return float(w_tar * (rates.p_a + rates.p_d) + w_non * rates.p_b + w_spoof * rates.p_c)
 
 
 def min_norm_tdcf(
@@ -172,20 +169,12 @@ def min_norm_tdcf(
     p_b = (nb_acc_sorted.size - np.searchsorted(nb_acc_sorted, taus, side="right")) / n_nb
     p_c = (sp_acc_sorted.size - np.searchsorted(sp_acc_sorted, taus, side="right")) / n_sp
 
-    costs = (
-        p.c_miss * p.rho_tar * (p_a + p_d)
-        + p.c_fa * p.rho_non * p_b
-        + p.c_fa_spoof * p.rho_spoof * p_c
-    )
+    w_tar, w_non, w_spoof = p.class_weights
+    costs = w_tar * (p_a + p_d) + w_non * p_b + w_spoof * p_c
 
     if normalizer is None:
-        accept_all = (
-            p.c_miss * p.rho_tar * (tb_rej_sorted.size / n_tb)
-            + p.c_fa * p.rho_non * (nb_acc_sorted.size / n_nb)
-            + p.c_fa_spoof * p.rho_spoof * (sp_acc_sorted.size / n_sp)
-        )
-        reject_all = p.c_miss * p.rho_tar
-        normalizer = min(accept_all, reject_all)
+        # The sentinels are the trivial gates: accept-all first, reject-all last.
+        normalizer = min(costs[0], costs[-1])
 
     normalized = costs / normalizer if normalizer > 0.0 else costs
     idx = int(np.argmin(normalized))
@@ -229,9 +218,8 @@ def cross_task_eer(scores: ScoreSet) -> float:
 
 def filter_attacks(scores: ScoreSet, excluded: set[str]) -> ScoreSet:
     """Drop all trials whose attack tag is excluded; bonafide trials pass through."""
-    return ScoreSet(
-        tuple(e for e in scores if e.label.attack_id not in excluded)
-    )
+    keep = [label.attack_id not in excluded for label in scores.labels]
+    return scores.select(np.asarray(keep, dtype=bool))
 
 
 @dataclass(frozen=True)

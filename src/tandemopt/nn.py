@@ -183,43 +183,20 @@ class Scorer:
             out[start : start + len(block)] = self.forward_batch(block)[0]
         return out
 
-    def backward_batch(
-        self,
-        cache: ForwardCache,
-        upstream: np.ndarray,
-        tape: GradientTape,
-        want_input_grad: bool = False,
-    ) -> np.ndarray | None:
-        """Accumulate sum_n upstream[n] * d(score_n)/d(param) into the tape.
-
-        Optionally returns the (N, d) rows upstream[n] * d(score_n)/d(input_n).
-        """
+    def backward_batch(self, cache: ForwardCache, upstream: np.ndarray, tape: GradientTape) -> None:
+        """Accumulate sum_n upstream[n] * d(score_n)/d(param) into the tape."""
         if cache.scorer_id != id(self) or cache.version != self._version:
             raise ValueError("stale or mismatched forward cache")
         dz = np.asarray(upstream, dtype=np.float64).reshape(-1, 1)
         for i in reversed(range(self.n_layers)):
             tape.d_weights[i] += dz.T @ cache.inputs[i]
             tape.d_biases[i] += dz.sum(axis=0)
-            da = dz @ self.weights[i]
             if i > 0:
-                dz = da * _act_prime(cache.pre_activations[i - 1], self.activation)
-        if want_input_grad:
-            return da
-        return None
+                dz = (dz @ self.weights[i]) * _act_prime(cache.pre_activations[i - 1], self.activation)
 
-    def backward(
-        self,
-        cache: ForwardCache,
-        upstream: float,
-        tape: GradientTape,
-        want_input_grad: bool = False,
-    ) -> np.ndarray | None:
-        """Accumulate upstream * d(score)/d(param) into the tape.
-
-        Optionally returns upstream * d(score)/d(input).
-        """
-        da = self.backward_batch(cache, np.asarray([upstream]), tape, want_input_grad)
-        return None if da is None else da[0]
+    def backward(self, cache: ForwardCache, upstream: float, tape: GradientTape) -> None:
+        """Accumulate upstream * d(score)/d(param) into the tape."""
+        self.backward_batch(cache, np.asarray([upstream]), tape)
 
     def sgd_step(self, tape: GradientTape, lr: float, direction: Direction) -> None:
         """params <- params +/- lr * grad, then zero the tape."""

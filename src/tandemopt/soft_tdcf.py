@@ -4,7 +4,8 @@ loss over a batch, and a joint descent step on both scorers and both
 
 Each hard indicator 1(score > tau) is replaced by sigmoid(score - tau); the
 joint tandem events (CM pass AND ASV decision) soften to the product of the
-two per-subsystem sigmoids.
+two per-subsystem sigmoids. A trial's term weighs its class's cost weight
+over the number of trials of its class, both indexed by its class code.
 """
 
 from __future__ import annotations
@@ -16,7 +17,15 @@ import numpy as np
 
 from .calibration import sigmoid
 from .nn import Direction, Scorer
-from .types import MissingClassError, ScoreSet, TandemCostParams, Trial, TrialLabel
+from .types import (
+    MissingClassError,
+    ScoreSet,
+    TandemCostParams,
+    Trial,
+    TrialClass,
+    TrialLabel,
+    class_codes,
+)
 
 
 @dataclass
@@ -75,15 +84,15 @@ def soft_tdcf_from_arrays(
       p_a: mean over target-bonafide of sig(cm - tau_cm) * sig(tau_asv - asv)
       p_b: mean over nontarget-bonafide of sig(cm - tau_cm) * sig(asv - tau_asv)
       p_c: mean over spoof of sig(cm - tau_cm) * sig(asv - tau_asv)
-    and combined with the usual cost weights. Gradients cover every score and
-    both thresholds.
+    and combined with the usual cost weights: trial n of class c weighs
+    class_weights[c] / (number of class-c trials). Gradients cover every
+    score and both thresholds.
     """
-    tb = np.asarray([l.is_target_bonafide for l in labels], dtype=bool)
-    nb = np.asarray([l.is_nontarget_bonafide for l in labels], dtype=bool)
-    sp = np.asarray([l.is_spoof for l in labels], dtype=bool)
-    n_tb, n_nb, n_sp = int(tb.sum()), int(nb.sum()), int(sp.sum())
-    if n_tb == 0 or n_nb == 0 or n_sp == 0:
+    classes = class_codes(labels)
+    counts = np.bincount(classes, minlength=len(TrialClass))
+    if not counts.all():
         raise MissingClassError("soft t-DCF needs all three trial classes")
+    tb = classes == TrialClass.TARGET_BONAFIDE
 
     t = temperature
     u = (cm - taus.tau_cm) / t  # CM pass margin
@@ -91,10 +100,7 @@ def soft_tdcf_from_arrays(
     sig_u, sig_v = sigmoid(u), sigmoid(v)
     dsig_u, dsig_v = _sigmoid_prime(u), _sigmoid_prime(v)
 
-    k = np.zeros(len(labels))
-    k[tb] = p.c_miss * p.rho_tar / n_tb
-    k[nb] = p.c_fa * p.rho_non / n_nb
-    k[sp] = p.c_fa_spoof * p.rho_spoof / n_sp
+    k = p.class_weights[classes] / counts[classes]
 
     contrib = np.where(
         tb,
@@ -121,11 +127,10 @@ def soft_tdcf_loss(
     temperature: float = 1.0,
 ) -> tuple[float, SoftTdcfGradients]:
     """Soft tandem cost of a score set and its exact gradients, with the
-    per-score gradients aligned to the entry order."""
-    asv = np.asarray([e.asv_score for e in scores], dtype=np.float64)
-    cm = np.asarray([e.cm_score for e in scores], dtype=np.float64)
-    labels = [e.label for e in scores]
-    return soft_tdcf_from_arrays(asv, cm, labels, taus, p, temperature=temperature)
+    per-score gradients in trial order."""
+    return soft_tdcf_from_arrays(
+        scores.asv, scores.cm, scores.labels, taus, p, temperature=temperature
+    )
 
 
 def soft_tdcf_train_step(

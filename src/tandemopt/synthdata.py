@@ -131,8 +131,13 @@ class WorldConfig:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "WorldConfig":
+        names = {f.name for f in fields(cls)}
+        if set(d) != names:
+            raise ValueError(
+                f"unknown keys {sorted(set(d) - names)}, missing keys {sorted(names - set(d))}"
+            )
         attacks = tuple(
-            AttackSpec(**{**a, "split": AttackSplit(a["split"])}) for a in d.get("attacks", [])
+            AttackSpec(**{**a, "split": AttackSplit(a["split"])}) for a in d["attacks"]
         )
         return cls(**{**d, "attacks": attacks})
 

@@ -16,7 +16,6 @@ import logging
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -34,8 +33,9 @@ from .types import (
     ScoreSet,
     TandemCostParams,
     Trial,
+    TrialClass,
     TrialLabel,
-    tandem_ground_truth,
+    class_codes,
 )
 
 logger = logging.getLogger(__name__)
@@ -234,46 +234,34 @@ def tandem_action_probability(
     return Decision.REJECT, 1.0 - joint
 
 
-def reward(spec: RewardSpec, a_tandem: Decision, label: TrialLabel) -> float:
-    """Per-trial reward: +/-1, or the negated cost-weighted single-trial
-    tandem cost (zero when the decision is correct)."""
-    truth = tandem_ground_truth(label)
+def rewards(spec: RewardSpec, accept: np.ndarray, classes: np.ndarray) -> np.ndarray:
+    """Per-trial rewards of tandem decisions (accept: one bool per trial) on
+    trials of the given TrialClass codes: +/-1, or the negated single-trial
+    tandem cost (minus the class's cost weight if wrong, zero if correct)."""
+    correct = accept == (classes == TrialClass.TARGET_BONAFIDE)
     if spec.kind is RewardKind.PLUS_MINUS_ONE:
-        return 1.0 if a_tandem is truth else -1.0
-    if a_tandem is truth:
-        return 0.0
-    p = spec.cost_params
-    if label.is_target_bonafide:  # wrongly rejected target
-        return -p.c_miss * p.rho_tar
-    if label.is_nontarget_bonafide:  # wrongly accepted nontarget
-        return -p.c_fa * p.rho_non
-    return -p.c_fa_spoof * p.rho_spoof  # wrongly accepted spoof
+        return np.where(correct, 1.0, -1.0)
+    return np.where(correct, 0.0, -spec.cost_params.class_weights[classes])
+
+
+def reward(spec: RewardSpec, a_tandem: Decision, label: TrialLabel) -> float:
+    """The reward of one trial's tandem decision (see rewards)."""
+    accept = np.array([a_tandem is Decision.ACCEPT])
+    return float(rewards(spec, accept, np.array([label.tandem_class]))[0])
 
 
 # ---------------------------------------------------------------------------
 # Minibatch sampling and the batch loop
 # ---------------------------------------------------------------------------
 
-# The label fields that split trials into target-bonafide, nontarget-bonafide
-# and spoof pools, in that order (a spoof always claims the target).
-TANDEM_CLASS = ("cm_label", "asv_label")
-
-
-def label_pools(data: Sequence[Trial], *fields: str) -> list[list[Trial]]:
-    """The trials grouped by the values of the given TrialLabel fields: one
-    pool per combination present, in data order within a pool. Pools follow
-    the fields' enum declaration order, the first field varying slowest."""
-    key = attrgetter(*fields)
-    pools: dict[object, list[Trial]] = {}
+def label_pools(data: Sequence[Trial], attribute: str) -> list[list[Trial]]:
+    """The trials grouped by one enum-valued TrialLabel attribute (asv_label,
+    cm_label or tandem_class): one pool per value present, in data order
+    within a pool, and the pools in the enum's declaration order."""
+    pools: dict[Enum, list[Trial]] = {}
     for t in data:
-        pools.setdefault(key(t.label), []).append(t)
-    return [pools[k] for k in sorted(pools, key=_declaration_rank)]
-
-
-def _declaration_rank(key: Enum | tuple[Enum, ...]) -> list[int]:
-    """Declaration index of an enum member, or of each member of a tuple."""
-    members = key if isinstance(key, tuple) else (key,)
-    return [list(type(m)).index(m) for m in members]
+        pools.setdefault(getattr(t.label, attribute), []).append(t)
+    return [pools[m] for m in sorted(pools, key=lambda m: list(type(m)).index(m))]
 
 
 def _balanced_batch(
@@ -306,7 +294,7 @@ def _minibatches(
 def iterate_batches(data: Sequence[Trial], cfg: TrainConfig, rng: np.random.Generator):
     """One epoch of the tandem methods' minibatches; balanced sampling picks
     target-bonafide, nontarget-bonafide and spoof trials equally often."""
-    return _minibatches(data, label_pools(data, *TANDEM_CLASS), cfg, rng)
+    return _minibatches(data, label_pools(data, "tandem_class"), cfg, rng)
 
 
 def train_epoch(
@@ -332,22 +320,6 @@ def train_epoch(
 # ---------------------------------------------------------------------------
 
 
-def _reward_table(spec: RewardSpec, batch: Sequence[Trial]) -> np.ndarray:
-    """(n, 2) rewards of each trial for a tandem reject (column 0) and
-    accept (column 1), from one reward() pair per distinct label."""
-    by_label: dict[TrialLabel, tuple[float, float]] = {}
-    rows = []
-    for t in batch:
-        row = by_label.get(t.label)
-        if row is None:
-            row = by_label[t.label] = (
-                reward(spec, Decision.REJECT, t.label),
-                reward(spec, Decision.ACCEPT, t.label),
-            )
-        rows.append(row)
-    return np.asarray(rows, dtype=np.float64)
-
-
 def reinforce_batch(
     pair: PolicyPair,
     batch: Sequence[Trial],
@@ -371,10 +343,9 @@ def reinforce_batch(
     accept = (u[:, 0] <= p_asv) & (u[:, 1] <= p_cm)
     joint = p_asv * p_cm
     p_tandem = np.where(accept, joint, 1.0 - joint)
-    rewards = _reward_table(spec, batch)[np.arange(n), accept.astype(np.intp)]
-
-    baseline = float(np.mean(rewards)) if use_baseline else 0.0
-    r = rewards - baseline
+    r = rewards(spec, accept, class_codes(t.label for t in batch))
+    if use_baseline:
+        r = r - float(np.mean(r))
     surrogate = float(np.sum(np.log(p_tandem) * r / n))
     if not math.isfinite(surrogate):
         raise TrainingDivergedError(f"non-finite surrogate loss {surrogate}")
@@ -542,12 +513,12 @@ def fit_calibrators(
     with priors (rho_tar + rho_non, rho_spoof).
     """
     scores = score_trials(pair, train_trials)
-    asv_rows = [
-        (e.asv_score, e.label.is_target_bonafide) for e in scores if not e.label.is_spoof
-    ]
+    is_bona = scores.classes != TrialClass.SPOOF
+    is_target = scores.classes[is_bona] == TrialClass.TARGET_BONAFIDE
+    asv_rows = list(zip(scores.asv[is_bona].tolist(), is_target.tolist()))
     bona = p.rho_tar + p.rho_non
     asv_cal = train_calibrator(asv_rows, (p.rho_tar / bona, p.rho_non / bona))
-    cm_rows = [(e.cm_score, not e.label.is_spoof) for e in scores]
+    cm_rows = list(zip(scores.cm.tolist(), is_bona.tolist()))
     cm_cal = train_calibrator(cm_rows, (bona, p.rho_spoof))
     return PolicyPair(
         asv=Policy(pair.asv.scorer, asv_cal), cm=Policy(pair.cm.scorer, cm_cal)
@@ -634,7 +605,7 @@ def run_method(
             # Soft rates are per-class means, so a batch must contain all
             # three classes. A balanced batch of the default size misses a
             # class with negligible probability; tiny batches may not.
-            if len(label_pools(batch, *TANDEM_CLASS)) < 3:
+            if len(label_pools(batch, "tandem_class")) < len(TrialClass):
                 logger.debug("skipping soft-cost batch missing a class")
                 return None
             return soft_tdcf_train_step(

@@ -1,5 +1,10 @@
 """Trials, labels, cost parameters, score containers, and their text formats.
 
+A trial's class is decided once, by TrialLabel.tandem_class, and the cost
+weight of an error on each class once, by TandemCostParams.class_weights;
+everything else indexes the weights by the class code. A ScoreSet is held as
+columns; ScoreEntry objects exist only while it is iterated.
+
 Everything here is immutable after construction and safe to share across
 threads. The text formats (protocol, score, and feature files) are the
 interchange surface used by the data generator, the trainers, and the CLI.
@@ -8,10 +13,11 @@ interchange surface used by the data generator, the trainers, and the CLI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, field
+from enum import Enum, IntEnum
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from itertools import compress
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -38,6 +44,14 @@ class Decision(Enum):
     REJECT = "reject"
 
 
+class TrialClass(IntEnum):
+    """The three trial classes of the tandem cost; the value is the class code."""
+
+    TARGET_BONAFIDE = 0
+    NONTARGET_BONAFIDE = 1
+    SPOOF = 2
+
+
 class MissingClassError(ValueError):
     """A metric precondition failed: one of the trial classes is absent."""
 
@@ -48,12 +62,14 @@ class TrialLabel:
 
     A spoof trial always claims the target identity (the attacker mimics the
     enrolled speaker), so (NONTARGET, SPOOF) is rejected. The attack tag is
-    present exactly for spoof trials.
+    present exactly for spoof trials. tandem_class is the trial's class,
+    decided here once from the labels: the CM label, then the ASV label.
     """
 
     asv_label: AsvLabel
     cm_label: CmLabel
     attack_id: str | None = None
+    tandem_class: TrialClass = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.cm_label is CmLabel.SPOOF:
@@ -61,27 +77,36 @@ class TrialLabel:
                 raise ValueError("spoof trial requires an attack_id")
             if self.asv_label is not AsvLabel.TARGET:
                 raise ValueError("spoof trials must claim the target speaker")
+            tandem_class = TrialClass.SPOOF
         elif self.attack_id is not None:
             raise ValueError("bonafide trial cannot carry an attack_id")
+        elif self.asv_label is AsvLabel.TARGET:
+            tandem_class = TrialClass.TARGET_BONAFIDE
+        else:
+            tandem_class = TrialClass.NONTARGET_BONAFIDE
+        object.__setattr__(self, "tandem_class", tandem_class)
 
     @property
     def is_target_bonafide(self) -> bool:
-        return self.asv_label is AsvLabel.TARGET and self.cm_label is CmLabel.BONAFIDE
+        return self.tandem_class is TrialClass.TARGET_BONAFIDE
 
     @property
     def is_nontarget_bonafide(self) -> bool:
-        return self.asv_label is AsvLabel.NONTARGET and self.cm_label is CmLabel.BONAFIDE
+        return self.tandem_class is TrialClass.NONTARGET_BONAFIDE
 
     @property
     def is_spoof(self) -> bool:
-        return self.cm_label is CmLabel.SPOOF
+        return self.tandem_class is TrialClass.SPOOF
 
 
 def tandem_ground_truth(label: TrialLabel) -> Decision:
     """The correct tandem decision: accept iff target speaker and bonafide."""
-    if label.asv_label is AsvLabel.TARGET and label.cm_label is CmLabel.BONAFIDE:
-        return Decision.ACCEPT
-    return Decision.REJECT
+    return Decision.ACCEPT if label.is_target_bonafide else Decision.REJECT
+
+
+def class_codes(labels: Iterable[TrialLabel]) -> np.ndarray:
+    """The TrialClass code of each label, in order."""
+    return np.fromiter((label.tandem_class for label in labels), dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -136,6 +161,14 @@ class TandemCostParams:
     def __post_init__(self) -> None:
         validate_cost_params(self)
 
+    @cached_property
+    def class_weights(self) -> np.ndarray:
+        """Cost weight c*rho of one error on each TrialClass, by class code: a
+        missed target-bonafide, an accepted nontarget or spoof."""
+        return _frozen_array(
+            [self.c_miss * self.rho_tar, self.c_fa * self.rho_non, self.c_fa_spoof * self.rho_spoof]
+        )
+
 
 # The ASVspoof19 challenge convention. This is an external configuration
 # default, not something any formula here depends on; every metric takes
@@ -175,74 +208,97 @@ class ScoreEntry:
     cm_score: float
 
 
-def _frozen_array(values: list[float]) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.float64)
+def _frozen_array(values, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of values."""
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 
 
 class ClassScores:
-    """Per-class numpy views of a ScoreSet (target-bonafide, nontarget-bonafide,
-    spoof), plus the spoof attack tags aligned with the spoof arrays."""
+    """Per-class score arrays of a ScoreSet (target-bonafide, nontarget-bonafide,
+    spoof) in trial order, plus the spoof attack tags aligned with the spoof
+    arrays. Read-only: a ScoreSet hands the same ClassScores to every caller."""
 
-    def __init__(self, entries: Sequence[ScoreEntry]):
-        tb_asv, tb_cm, nb_asv, nb_cm, sp_asv, sp_cm, sp_attacks = [], [], [], [], [], [], []
-        for e in entries:
-            # A spoof always claims the target (TrialLabel enforces it), so
-            # the CM label and then the ASV label decide the class.
-            label = e.label
-            if label.cm_label is CmLabel.SPOOF:
-                sp_asv.append(e.asv_score)
-                sp_cm.append(e.cm_score)
-                sp_attacks.append(label.attack_id)
-            elif label.asv_label is AsvLabel.TARGET:
-                tb_asv.append(e.asv_score)
-                tb_cm.append(e.cm_score)
-            else:
-                nb_asv.append(e.asv_score)
-                nb_cm.append(e.cm_score)
-        # Read-only: a ScoreSet hands the same ClassScores to every caller.
-        self.tb_asv = _frozen_array(tb_asv)
-        self.tb_cm = _frozen_array(tb_cm)
-        self.nb_asv = _frozen_array(nb_asv)
-        self.nb_cm = _frozen_array(nb_cm)
-        self.sp_asv = _frozen_array(sp_asv)
-        self.sp_cm = _frozen_array(sp_cm)
-        self.sp_attacks = tuple(sp_attacks)
+    def __init__(self, scores: "ScoreSet"):
+        tb, nb, sp = (scores.classes == c for c in TrialClass)
+        self.tb_asv, self.tb_cm, self.nb_asv, self.nb_cm, self.sp_asv, self.sp_cm = (
+            _frozen_array(column[mask]) for mask in (tb, nb, sp) for column in (scores.asv, scores.cm)
+        )
+        self.sp_attacks = tuple(label.attack_id for label in compress(scores.labels, sp.tolist()))
 
     def require_all_classes(self) -> None:
-        if self.tb_asv.size == 0:
-            raise MissingClassError("missing target-bonafide class")
-        if self.nb_asv.size == 0:
-            raise MissingClassError("missing nontarget-bonafide class")
-        if self.sp_asv.size == 0:
-            raise MissingClassError("missing spoof class")
+        for c, asv in zip(TrialClass, (self.tb_asv, self.nb_asv, self.sp_asv)):
+            if asv.size == 0:
+                raise MissingClassError(f"missing {c.name.lower().replace('_', '-')} class")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ScoreSet:
-    """Aligned per-trial detector scores and labels; the unit metrics consume."""
+    """Aligned per-trial detector scores and labels; the unit metrics consume.
 
-    entries: tuple[ScoreEntry, ...]
+    Columns, in trial order: trial_ids and labels (tuples), asv and cm
+    (read-only float64 arrays) and classes (the labels' TrialClass codes).
+    """
+
+    trial_ids: tuple[str, ...]
+    labels: tuple[TrialLabel, ...]
+    asv: np.ndarray
+    cm: np.ndarray
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for e in self.entries:
-            if e.trial_id in seen:
-                raise ValueError(f"duplicate trial_id {e.trial_id!r}")
-            seen.add(e.trial_id)
-            if not (math.isfinite(e.asv_score) and math.isfinite(e.cm_score)):
-                raise ValueError(f"non-finite score for trial {e.trial_id!r}")
+        self._set_columns(self.trial_ids, self.labels, self.asv, self.cm)
+        ids = self.trial_ids
+        if len(self.labels) != len(ids) or not self.asv.shape == self.cm.shape == (len(ids),):
+            raise ValueError("score set columns must be 1-D and of one length")
+        # The first trial with a repeated id or a non-finite score is reported.
+        finite = np.isfinite(self.asv) & np.isfinite(self.cm)
+        first_bad = len(ids) if finite.all() else int(np.argmin(finite))
+        if len(set(ids)) != len(ids):
+            seen: set[str] = set()
+            for trial_id in ids[: first_bad + 1]:
+                if trial_id in seen:
+                    raise ValueError(f"duplicate trial_id {trial_id!r}")
+                seen.add(trial_id)
+        if first_bad < len(ids):
+            raise ValueError(f"non-finite score for trial {ids[first_bad]!r}")
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.trial_ids)
 
     def __iter__(self) -> Iterator[ScoreEntry]:
-        return iter(self.entries)
+        return map(ScoreEntry, self.trial_ids, self.labels, self.asv.tolist(), self.cm.tolist())
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            isinstance(other, ScoreSet)
+            and (self.trial_ids, self.labels) == (other.trial_ids, other.labels)
+            and np.array_equal(self.asv, other.asv)
+            and np.array_equal(self.cm, other.cm)
+        )
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, TrialLabel, float, float]]) -> "ScoreSet":
-        return cls(tuple(ScoreEntry(i, l, float(a), float(c)) for i, l, a, c in rows))
+        return cls(*(tuple(zip(*rows)) or ((), (), (), ())))
+
+    @cached_property
+    def classes(self) -> np.ndarray:
+        return _frozen_array(class_codes(self.labels), dtype=np.intp)
+
+    def _set_columns(self, trial_ids, labels, asv, cm) -> "ScoreSet":
+        """Store ids and labels as tuples and scores as read-only float64 copies."""
+        columns = (tuple(trial_ids), tuple(labels), _frozen_array(asv), _frozen_array(cm))
+        for name, value in zip(("trial_ids", "labels", "asv", "cm"), columns):
+            object.__setattr__(self, name, value)
+        return self
+
+    def select(self, mask: np.ndarray) -> "ScoreSet":
+        """The trials where mask is true, in trial order; part of a checked
+        set is not checked again."""
+        keep = mask.tolist()
+        return object.__new__(ScoreSet)._set_columns(
+            compress(self.trial_ids, keep), compress(self.labels, keep), self.asv[mask], self.cm[mask]
+        )
 
     def class_split(self) -> ClassScores:
         """The per-class arrays, built on first use and shared afterwards."""
@@ -250,7 +306,7 @@ class ScoreSet:
 
     @cached_property
     def _class_split(self) -> ClassScores:
-        return ClassScores(self.entries)
+        return ClassScores(self)
 
 
 # ---------------------------------------------------------------------------
@@ -292,8 +348,8 @@ def read_protocol(path) -> dict[str, TrialLabel]:
 def write_scores(path, scores: ScoreSet) -> None:
     fmt = FLOAT_FORMAT
     with open(path, "w", encoding="utf-8") as fh:
-        for e in scores:
-            fh.write(f"{e.trial_id} {fmt.format(e.asv_score)} {fmt.format(e.cm_score)}\n")
+        for trial_id, asv, cm in zip(scores.trial_ids, scores.asv.tolist(), scores.cm.tolist()):
+            fh.write(f"{trial_id} {fmt.format(asv)} {fmt.format(cm)}\n")
 
 
 def read_scores(path, labels: dict[str, TrialLabel]) -> ScoreSet:

@@ -242,6 +242,47 @@ class TestInputChecks:
         err = capsys.readouterr().err
         assert str(copy / "manifest.json") in err and "no 'config' entry" in err
 
+    @pytest.mark.parametrize("name", ["checkpoint", "manifest"])
+    def test_file_that_is_not_json(self, workspace, tmp_path, capsys, name):
+        _, _, data, ckpt = workspace
+        copy = shutil.copytree(data, tmp_path / "data")
+        ckpt_copy = Path(shutil.copy(ckpt, tmp_path / "ckpt.json"))
+        bad = ckpt_copy if name == "checkpoint" else copy / "manifest.json"
+        bad.write_text(bad.read_text()[:40])  # truncated
+        assert self.evaluate(ckpt_copy, copy, tmp_path) == 2
+        assert f"{name} {bad} is not valid JSON" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change, key", [("add", "n_speekers"), ("drop", "d_asv")])
+    def test_manifest_config_keys_checked(self, workspace, tmp_path, capsys, change, key):
+        _, _, data, ckpt = workspace
+        copy = shutil.copytree(data, tmp_path / "data")
+        manifest = json.loads((copy / "manifest.json").read_text())
+        if change == "add":
+            manifest["config"][key] = 20
+        else:
+            del manifest["config"][key]
+        (copy / "manifest.json").write_text(json.dumps(manifest))
+        assert self.evaluate(ckpt, copy, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"manifest {copy / 'manifest.json'} has an invalid 'config'" in err and key in err
+
+    def test_run_summary_checked(self, runs_dir, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        runs.mkdir()
+        for name in ("FINETUNE_seed0.csv", "FINETUNE_seed0_summary.json"):
+            shutil.copy(runs_dir / name, runs / name)
+        summary_path = runs / "FINETUNE_seed0_summary.json"
+        text = summary_path.read_text()
+        summary_path.write_text(text[:-10])
+        assert main(["report", "--runs", str(runs), "--out", str(tmp_path / "rep")]) == 2
+        assert f"run summary {summary_path} is not valid JSON" in capsys.readouterr().err
+        summary = json.loads(text)
+        del summary["reports"]["dev"]["1"]["tau_asv"]
+        summary_path.write_text(json.dumps(summary))
+        assert main(["report", "--runs", str(runs), "--out", str(tmp_path / "rep")]) == 2
+        err = capsys.readouterr().err
+        assert f"run summary {summary_path} is malformed" in err and "tau_asv" in err
+
     def test_missing_feature_line(self, workspace, tmp_path, capsys):
         _, _, data, ckpt = workspace
         copy = shutil.copytree(data, tmp_path / "data")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tandemopt.metrics import (
     MetricReport,
@@ -414,3 +416,68 @@ class TestMetricReport:
     def test_candidate_thresholds_cover_single_value(self):
         taus = candidate_thresholds(np.array([1.0, 1.0, 1.0]))
         assert taus.tolist() == [0.0, 2.0]
+
+
+# Integer-valued scores keep ties possible and make every strictly increasing
+# map below exact, so invariance can be asserted bit for bit.
+SCORE = st.integers(-20, 20)
+CLASS_SCORES = st.lists(st.tuples(SCORE, SCORE), min_size=1, max_size=12)
+INCREASING_MAPS = [
+    lambda x: x**3 + 2.0 * x + 1.0,
+    lambda x: np.exp(x / 8.0),
+    lambda x: 0.25 * x - 7.0,
+]
+
+
+@st.composite
+def cost_params(draw):
+    costs = [float(draw(st.integers(0, 10))) for _ in range(3)]
+    weights = [draw(st.integers(1, 100)) for _ in range(3)]
+    total = sum(weights)
+    rho_tar, rho_non = weights[0] / total, weights[1] / total
+    return TandemCostParams(*costs, rho_tar, rho_non, 1.0 - rho_tar - rho_non)
+
+
+def headline(rows, p):
+    report = compute_metric_report(ScoreSet.from_rows(rows), p)
+    return report.asv_eer, report.cm_eer, report.cross_task_eer, report.min_norm_tdcf
+
+
+class TestMetricProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(
+        tb=CLASS_SCORES,
+        nb=CLASS_SCORES,
+        sp=CLASS_SCORES,
+        order=st.randoms(use_true_random=False),
+        warp=st.sampled_from(INCREASING_MAPS),
+        p=cost_params(),
+    )
+    def test_eer_and_min_tdcf_ignore_trial_order_and_increasing_maps(
+        self, tb, nb, sp, order, warp, p
+    ):
+        s = make_scoreset(tb, nb, sp, ["A01", "A02"] * len(sp))
+        rows = [(e.trial_id, e.label, e.asv_score, e.cm_score) for e in s]
+        expected = headline(rows, p)
+        order.shuffle(rows)
+        assert headline(rows, p) == expected
+        # min t-DCF fixes the ASV threshold at the midpoint of the ASV EER
+        # gap, so only ASV maps that keep midpoints (affine ones) keep it; a
+        # spoof ASV score inside the gap can change sides under any other.
+        warped = [(i, l, 2.0 * a - 3.0, float(warp(c))) for i, l, a, c in rows]
+        assert headline(warped, p) == expected
+        warped = [(i, l, float(warp(a)), float(warp(c))) for i, l, a, c in rows]
+        assert headline(warped, p)[:3] == expected[:3]
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(tb=CLASS_SCORES, nb=CLASS_SCORES, sp=CLASS_SCORES, p=cost_params())
+    def test_normalized_min_tdcf_at_most_one(self, tb, nb, sp, p):
+        s = make_scoreset(tb, nb, sp)
+        value, _, tau_asv = min_norm_tdcf(s, p)
+        # The trivial gates: the CM accepting everything, or nothing.
+        accept_all = tdcf(tandem_error_rates(s, tau_asv, -np.inf), p)
+        reject_all = tdcf(tandem_error_rates(s, tau_asv, np.inf), p)
+        if min(accept_all, reject_all) > 0.0:
+            assert 0.0 <= value <= 1.0
+        else:
+            assert value == 0.0

@@ -121,12 +121,6 @@ class TestBackward:
         with pytest.raises(ValueError, match="stale"):
             s.backward(cache, 1.0, s.new_tape())
 
-    def test_input_gradient(self):
-        s = scalar_scorer([2.0, -3.0], 0.0)
-        _, cache = s.forward(np.array([1.0, 1.0]))
-        g = s.backward(cache, 1.0, s.new_tape(), want_input_grad=True)
-        assert np.allclose(g, [2.0, -3.0])
-
 
 class TestBatch:
     def test_matrix_forward_matches_oracle_and_per_row_forward(self):
@@ -148,12 +142,11 @@ class TestBatch:
             upstream = rng.standard_normal(29)
             batched = s.new_tape()
             _, cache = s.forward_batch(x)
-            input_grads = s.backward_batch(cache, upstream, batched, want_input_grad=True)
+            s.backward_batch(cache, upstream, batched)
             summed = s.new_tape()
-            for row, g, input_grad in zip(x, upstream, input_grads):
+            for row, g in zip(x, upstream):
                 _, row_cache = s.forward(row)
-                row_input_grad = s.backward(row_cache, float(g), summed, want_input_grad=True)
-                np.testing.assert_allclose(input_grad, row_input_grad, rtol=1e-12, atol=1e-12)
+                s.backward(row_cache, float(g), summed)
             for got, want in zip(
                 batched.d_weights + batched.d_biases, summed.d_weights + summed.d_biases
             ):

@@ -7,7 +7,6 @@ import pytest
 from tandemopt.calibration import Calibrator, sigmoid
 from tandemopt.nn import SCORE_BLOCK_ROWS, Activation, Direction, Scorer, finite_diff_check
 from tandemopt.tandem_train import (
-    TANDEM_CLASS,
     Method,
     Policy,
     PolicyPair,
@@ -28,6 +27,7 @@ from tandemopt.tandem_train import (
     reinforce_batch,
     reinforce_epoch,
     reward,
+    rewards,
     run_method,
     sample_action,
     score_trials,
@@ -41,6 +41,7 @@ from tandemopt.types import (
     TandemCostParams,
     Trial,
     TrialLabel,
+    class_codes,
 )
 
 TB = TrialLabel(AsvLabel.TARGET, CmLabel.BONAFIDE)
@@ -150,6 +151,15 @@ class TestReward:
         for label in (TB, NB, SP):
             for action in Decision:
                 assert worst <= reward(TDCF1, action, label) <= 0.0
+
+    def test_batch_rewards_index_the_class_weights(self):
+        p = ASVSPOOF19_COST_PARAMS
+        classes = class_codes([TB, NB, SP, TB, NB, SP])
+        accept = np.array([True, True, True, False, False, False])
+        miss, fa, fa_spoof = -p.c_miss * p.rho_tar, -p.c_fa * p.rho_non, -p.c_fa_spoof * p.rho_spoof
+        assert rewards(TDCF1, accept, classes).tolist() == [0.0, fa, fa_spoof, miss, 0.0, 0.0]
+        assert rewards(PM1, accept, classes).tolist() == [1.0, -1.0, -1.0, -1.0, 1.0, 1.0]
+        assert rewards(PM1, accept[:0], classes[:0]).shape == (0,)
 
     def test_tdcf_requires_params(self):
         with pytest.raises(ValueError):
@@ -379,7 +389,7 @@ class TestLabelPools:
             Trial(name, np.zeros(1), np.zeros(1), label)
             for name, label in [("sp0", SP), ("nb0", NB), ("sp1", SP), ("tb0", TB), ("nb1", NB)]
         ]
-        pools = label_pools(trials, *TANDEM_CLASS)
+        pools = label_pools(trials, "tandem_class")
         assert [[t.id for t in pool] for pool in pools] == [["tb0"], ["nb0", "nb1"], ["sp0", "sp1"]]
 
     def test_one_field_and_missing_values(self):

@@ -1,16 +1,22 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tandemopt.metrics import filter_attacks
 from tandemopt.types import (
     ASVSPOOF19_COST_PARAMS,
     AsvLabel,
     CmLabel,
     Decision,
     ErrorRates,
+    ScoreEntry,
     ScoreSet,
     TandemCostParams,
     Trial,
+    TrialClass,
     TrialLabel,
+    class_codes,
     read_features,
     read_protocol,
     read_scores,
@@ -43,6 +49,20 @@ class TestTrialLabel:
         assert label(AsvLabel.TARGET, CmLabel.BONAFIDE).is_target_bonafide
         assert label(AsvLabel.NONTARGET, CmLabel.BONAFIDE).is_nontarget_bonafide
         assert label(AsvLabel.TARGET, CmLabel.SPOOF, "A01").is_spoof
+
+    def test_tandem_class_of_every_legal_label(self):
+        legal = {
+            label(AsvLabel.TARGET, CmLabel.BONAFIDE): TrialClass.TARGET_BONAFIDE,
+            label(AsvLabel.NONTARGET, CmLabel.BONAFIDE): TrialClass.NONTARGET_BONAFIDE,
+            label(AsvLabel.TARGET, CmLabel.SPOOF, "A01"): TrialClass.SPOOF,
+        }
+        for l, expected in legal.items():
+            assert l.tandem_class is expected
+            flags = (l.is_target_bonafide, l.is_nontarget_bonafide, l.is_spoof)
+            assert flags == tuple(c is expected for c in TrialClass)
+        assert [int(c) for c in TrialClass] == [0, 1, 2]
+        assert class_codes(legal).tolist() == [0, 1, 2]
+        assert class_codes([]).tolist() == []
 
 
 class TestTandemGroundTruth:
@@ -90,6 +110,13 @@ class TestCostParams:
         with pytest.raises(ValueError, match="out of range"):
             TandemCostParams(1, 1, 1, 1.5, -0.3, -0.2)
 
+    def test_class_weights_are_cost_times_prior(self):
+        p = TandemCostParams(2.0, 3.0, 5.0, 0.5, 0.3, 0.2)
+        assert p.class_weights.tolist() == [2.0 * 0.5, 3.0 * 0.3, 5.0 * 0.2]
+        assert p.class_weights[TrialClass.SPOOF] == 5.0 * 0.2
+        with pytest.raises(ValueError):
+            p.class_weights[0] = 0.0
+
     def test_zero_costs_allowed(self):
         # costs are nonnegative; an all-zero cost vector is a legal (trivial)
         # evaluation setup
@@ -130,6 +157,57 @@ class TestScoreSet:
         l = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
         with pytest.raises(ValueError, match="non-finite"):
             ScoreSet.from_rows([("a", l, float("inf"), 0.0)])
+
+    def test_first_bad_trial_is_reported(self):
+        l = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
+        nan = float("nan")
+        with pytest.raises(ValueError, match="non-finite score for trial 'b'"):
+            ScoreSet.from_rows([("a", l, 0.0, 0.0), ("b", l, nan, 0.0), ("a", l, 0.0, 0.0)])
+        with pytest.raises(ValueError, match="duplicate trial_id 'a'"):
+            ScoreSet.from_rows([("a", l, 0.0, 0.0), ("a", l, 0.0, nan), ("b", l, nan, 0.0)])
+        with pytest.raises(ValueError, match="duplicate trial_id 'b'"):
+            ScoreSet.from_rows([("a", l, 0.0, 0.0), ("b", l, 0.0, 0.0), ("b", l, 0.0, 0.0)])
+
+    def test_columns_must_match(self):
+        l = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
+        with pytest.raises(ValueError, match="one length"):
+            ScoreSet(("a", "b"), (l, l), [0.0, 1.0], [0.0])
+        with pytest.raises(ValueError, match="one length"):
+            ScoreSet(("a",), (l, l), [0.0], [0.0])
+
+    def test_columns(self):
+        rows = [
+            ("a", label(AsvLabel.NONTARGET, CmLabel.BONAFIDE), 1, 2.0),
+            ("b", label(AsvLabel.TARGET, CmLabel.SPOOF, "A01"), 0.5, -2.0),
+            ("c", label(AsvLabel.TARGET, CmLabel.BONAFIDE), -1.0, 2.5),
+        ]
+        s = ScoreSet.from_rows(rows)
+        assert s.trial_ids == ("a", "b", "c")
+        assert s.labels == tuple(r[1] for r in rows)
+        assert s.asv.dtype == np.float64 and s.asv.tolist() == [1.0, 0.5, -1.0]
+        assert s.classes.tolist() == [1, 2, 0]
+        for column in (s.asv, s.cm, s.classes):
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert list(s) == [ScoreEntry(i, l, float(a), float(c)) for i, l, a, c in rows]
+        assert isinstance(next(iter(s)).asv_score, float)
+        assert len(ScoreSet.from_rows([])) == 0
+
+    def test_select_keeps_order_and_values(self):
+        l = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
+        s = ScoreSet.from_rows([(f"t{i}", l, float(i), -float(i)) for i in range(5)])
+        part = s.select(np.array([True, False, True, True, False]))
+        assert part == ScoreSet.from_rows([(f"t{i}", l, float(i), -float(i)) for i in (0, 2, 3)])
+        assert part.classes.tolist() == [0, 0, 0]
+        assert len(s.select(np.zeros(5, dtype=bool))) == 0
+
+    def test_value_equality(self):
+        l = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
+        s = ScoreSet.from_rows([("a", l, 1.0, 2.0)])
+        assert s == ScoreSet(["a"], [l], np.array([1.0]), [2.0])
+        assert s != ScoreSet.from_rows([("a", l, 1.0, 2.5)])
+        assert s != ScoreSet.from_rows([("b", l, 1.0, 2.0)])
+        assert s != "a"
 
     def test_class_split(self):
         rows = [
@@ -206,3 +284,33 @@ class TestTextFormats:
         write_features(path, [t])
         with pytest.raises(ValueError, match="expected"):
             read_features(path, {"t0": l}, d_asv=4, d_cm=2)
+
+
+LABELS = st.sampled_from(
+    [
+        label(AsvLabel.TARGET, CmLabel.BONAFIDE),
+        label(AsvLabel.NONTARGET, CmLabel.BONAFIDE),
+        label(AsvLabel.TARGET, CmLabel.SPOOF, "A01"),
+        label(AsvLabel.TARGET, CmLabel.SPOOF, "A17"),
+    ]
+)
+SCORES = st.floats(allow_nan=False, allow_infinity=False)
+ROWS = st.lists(
+    st.tuples(st.text("abcxyz019_", min_size=1, max_size=6), LABELS, SCORES, SCORES),
+    max_size=30,
+    unique_by=lambda row: row[0],
+)
+
+
+class TestScoreSetProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(rows=ROWS)
+    def test_order_and_values_survive_the_round_trip(self, tmp_path_factory, rows):
+        s = ScoreSet.from_rows(rows)
+        assert [(e.trial_id, e.label, e.asv_score, e.cm_score) for e in s] == rows
+        assert ScoreSet.from_rows((e.trial_id, e.label, e.asv_score, e.cm_score) for e in s) == s
+        assert filter_attacks(s, set()) == s
+        path = tmp_path_factory.mktemp("scores") / "s.txt"
+        write_scores(path, s)
+        assert read_scores(path, {trial_id: l for trial_id, l, _, _ in rows}) == s
+        assert s.classes.tolist() == [l.tandem_class for _, l, _, _ in rows]
