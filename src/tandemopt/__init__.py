@@ -11,6 +11,7 @@ from .types import (
     TandemCostParams,
     Trial,
     TrialLabel,
+    TrialSet,
     tandem_ground_truth,
     validate_cost_params,
 )

@@ -43,7 +43,8 @@ from .types import (
     ASVSPOOF19_COST_PARAMS,
     MissingClassError,
     TandemCostParams,
-    Trial,
+    TrialClass,
+    TrialSet,
     read_features,
     read_protocol,
     write_features,
@@ -168,13 +169,13 @@ def _load_manifest(data_dir: Path) -> WorldConfig:
         ) from exc
 
 
-def _load_split(data_dir: Path, cfg: WorldConfig, split: str) -> tuple[Trial, ...]:
+def _load_split(data_dir: Path, cfg: WorldConfig, split: str) -> TrialSet:
     protocol = data_dir / f"{split}.protocol.txt"
     features = data_dir / f"{split}.features.txt"
     if not protocol.exists() or not features.exists():
         raise CliError(f"missing data files for split {split!r} in {data_dir}")
     labels = read_protocol(protocol)
-    return tuple(read_features(features, labels, cfg.d_asv, cfg.d_cm))
+    return read_features(features, labels, cfg.d_asv, cfg.d_cm)
 
 
 def _load_data_dir(data_dir: Path) -> tuple[WorldConfig, Splits]:
@@ -192,7 +193,12 @@ def _load_checkpoint(path: Path) -> PolicyPair:
         raise CliError(f"checkpoint {path} has format {tag!r}, expected {CHECKPOINT_FORMAT!r}")
     if "pair" not in payload:
         raise CliError(f"checkpoint {path} has no 'pair' entry")
-    return PolicyPair.from_json_dict(payload["pair"])
+    try:
+        return PolicyPair.from_json_dict(payload["pair"])
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise CliError(
+            f"checkpoint {path} has a malformed 'pair': {type(exc).__name__}: {exc}"
+        ) from exc
 
 
 def _check_dims(pair: PolicyPair, cfg: WorldConfig) -> None:
@@ -220,10 +226,18 @@ def _cost_params(args) -> TandemCostParams:
         raise CliError(f"invalid --costs: {exc}") from exc
 
 
-def _parse_excluded(arg: str | None) -> set[str] | None:
+def _parse_excluded(arg: str | None, cfg: WorldConfig) -> set[str] | None:
+    """The --exclude-attacks ids; each must be an attack the data's config
+    defines, though not necessarily one of the evaluated split."""
     if arg is None:
         return None
-    return {a.strip() for a in arg.split(",") if a.strip()}
+    excluded = {a.strip() for a in arg.split(",") if a.strip()}
+    unknown = sorted(excluded - {a.attack_id for a in cfg.attacks})
+    if unknown:
+        raise CliError(
+            f"--exclude-attacks names attacks the data does not define: {', '.join(unknown)}"
+        )
+    return excluded
 
 
 # ---------------------------------------------------------------------------
@@ -241,13 +255,11 @@ def cmd_gen_data(args) -> int:
         trials = getattr(splits, split)
         protocol = f"{split}.protocol.txt"
         features = f"{split}.features.txt"
-        write_protocol(out_dir / protocol, ((t.id, t.label) for t in trials))
+        write_protocol(out_dir / protocol, zip(trials.ids, trials.labels))
         write_features(out_dir / features, trials)
         files += [protocol, features]
-        n_tar = sum(t.label.is_target_bonafide for t in trials)
-        n_non = sum(t.label.is_nontarget_bonafide for t in trials)
-        n_spf = sum(t.label.is_spoof for t in trials)
-        attacks = sorted({t.label.attack_id for t in trials if t.label.attack_id})
+        n_tar, n_non, n_spf = (int((trials.classes == c).sum()) for c in TrialClass)
+        attacks = sorted({label.attack_id for label in trials.labels if label.attack_id})
         print(
             f"{split}: {len(trials)} trials "
             f"(target {n_tar}, nontarget {n_non}, spoof {n_spf}; attacks {', '.join(attacks)})"
@@ -290,12 +302,14 @@ def cmd_train_tandem(args) -> int:
         raise CliError(
             f"unknown method {args.method!r}; valid: {[m.value for m in Method]}"
         ) from None
+    if args.seeds < 1:
+        raise CliError(f"--seeds must be at least 1, got {args.seeds}")
     data_dir = Path(args.data)
     cfg, splits = _load_data_dir(data_dir)
     pair = _load_checkpoint(Path(args.ckpt))
     _check_dims(pair, cfg)
     params = _cost_params(args)
-    excluded = _parse_excluded(args.exclude_attacks)
+    excluded = _parse_excluded(args.exclude_attacks, cfg)
     run_cfgs = [
         TrainConfig(
             lr=args.lr,
@@ -357,8 +371,8 @@ def cmd_evaluate(args) -> int:
     pair = _load_checkpoint(Path(args.ckpt))
     _check_dims(pair, cfg)
     params = _cost_params(args)
+    excluded = _parse_excluded(args.exclude_attacks, cfg)
     scores = score_trials(pair, trials)
-    excluded = _parse_excluded(args.exclude_attacks)
     if excluded:
         scores = filter_attacks(scores, excluded)
     out = Path(args.out)

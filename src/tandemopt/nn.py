@@ -104,6 +104,8 @@ class Scorer:
         self.biases = biases
         self.init_seed = init_seed
         self._version = 0
+        if len(weights) != len(layer_sizes) - 1 or len(biases) != len(layer_sizes) - 1:
+            raise ValueError(f"expected {len(layer_sizes) - 1} weight and bias arrays")
         for i, (w, b) in enumerate(zip(weights, biases)):
             expect_w = (layer_sizes[i + 1], layer_sizes[i])
             if w.shape != expect_w or b.shape != (layer_sizes[i + 1],):
@@ -174,13 +176,13 @@ class Scorer:
         scores, cache = self.forward_batch(a[None, :])
         return float(scores[0]), cache
 
-    def score_rows(self, x: np.ndarray | Sequence[np.ndarray]) -> np.ndarray:
+    def score_rows(self, x: np.ndarray) -> np.ndarray:
         """Scores of many input rows, by the matrix forward over blocks of
         SCORE_BLOCK_ROWS rows; no forward cache is kept."""
         out = np.empty(len(x))
         for start in range(0, len(x), SCORE_BLOCK_ROWS):
-            block = np.asarray(x[start : start + SCORE_BLOCK_ROWS], dtype=np.float64)
-            out[start : start + len(block)] = self.forward_batch(block)[0]
+            block = slice(start, start + SCORE_BLOCK_ROWS)
+            out[block] = self.forward_batch(x[block])[0]
         return out
 
     def backward_batch(self, cache: ForwardCache, upstream: np.ndarray, tape: GradientTape) -> None:

@@ -17,15 +17,7 @@ import numpy as np
 
 from .calibration import sigmoid
 from .nn import Direction, Scorer
-from .types import (
-    MissingClassError,
-    ScoreSet,
-    TandemCostParams,
-    Trial,
-    TrialClass,
-    TrialLabel,
-    class_codes,
-)
+from .types import MissingClassError, ScoreSet, TandemCostParams, TrialClass, TrialSet
 
 
 @dataclass
@@ -71,13 +63,13 @@ def soft_rates(
 def soft_tdcf_from_arrays(
     asv: np.ndarray,
     cm: np.ndarray,
-    labels: Sequence[TrialLabel],
+    classes: np.ndarray,
     taus: SoftThresholds,
     p: TandemCostParams,
     temperature: float = 1.0,
 ) -> tuple[float, SoftTdcfGradients]:
-    """Soft tandem cost over aligned score arrays (duplicates allowed, so a
-    batch sampled with replacement works as-is).
+    """Soft tandem cost over aligned score arrays and TrialClass codes
+    (duplicates allowed, so a batch sampled with replacement works as-is).
 
     The four error rates are softened as
       p_d: mean over target-bonafide of sig(tau_cm - cm)
@@ -88,7 +80,6 @@ def soft_tdcf_from_arrays(
     class_weights[c] / (number of class-c trials). Gradients cover every
     score and both thresholds.
     """
-    classes = class_codes(labels)
     counts = np.bincount(classes, minlength=len(TrialClass))
     if not counts.all():
         raise MissingClassError("soft t-DCF needs all three trial classes")
@@ -129,7 +120,7 @@ def soft_tdcf_loss(
     """Soft tandem cost of a score set and its exact gradients, with the
     per-score gradients in trial order."""
     return soft_tdcf_from_arrays(
-        scores.asv, scores.cm, scores.labels, taus, p, temperature=temperature
+        scores.asv, scores.cm, scores.classes, taus, p, temperature=temperature
     )
 
 
@@ -137,7 +128,7 @@ def soft_tdcf_train_step(
     asv: Scorer,
     cm: Scorer,
     taus: SoftThresholds,
-    batch: Sequence[Trial],
+    batch: TrialSet,
     p: TandemCostParams,
     lr: float,
     temperature: float = 1.0,
@@ -146,15 +137,10 @@ def soft_tdcf_train_step(
 
     Returns the loss before the step.
     """
-    asv_scores, asv_cache = asv.forward_batch(np.stack([t.x_asv for t in batch]))
-    cm_scores, cm_cache = cm.forward_batch(np.stack([t.x_cm for t in batch]))
+    asv_scores, asv_cache = asv.forward_batch(batch.x_asv)
+    cm_scores, cm_cache = cm.forward_batch(batch.x_cm)
     loss, grads = soft_tdcf_from_arrays(
-        asv_scores,
-        cm_scores,
-        [t.label for t in batch],
-        taus,
-        p,
-        temperature=temperature,
+        asv_scores, cm_scores, batch.classes, taus, p, temperature=temperature
     )
 
     asv_tape = asv.new_tape()

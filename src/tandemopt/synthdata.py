@@ -15,6 +15,9 @@ Attack knobs:
 
 "Outlier" attacks combine low cm_detectability with low asv_effectiveness:
 hard for the countermeasure, but largely harmless against verification.
+
+Each split is a TrialSet whose feature rows are written in place, in a
+fixed RNG draw order; trials of one class share one label object.
 """
 
 from __future__ import annotations
@@ -22,8 +25,6 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
-from typing import Sequence
-
 import numpy as np
 
 from .nn import Activation, Scorer
@@ -32,12 +33,11 @@ from .tandem_train import (
     Policy,
     Splits,
     TrainConfig,
-    asv_bce_target,
     bce_epoch,
-    cm_bce_target,
+    bce_inputs,
     label_pools,
 )
-from .types import AsvLabel, CmLabel, Trial, TrialLabel
+from .types import AsvLabel, CmLabel, TrialLabel, TrialSet
 
 SPLIT_NAMES = ("train", "dev", "eval")
 
@@ -210,12 +210,14 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def _generate_split(
     split: str, cfg: WorldConfig, rng: np.random.Generator, dirs: dict[str, np.ndarray]
-) -> tuple[Trial, ...]:
+) -> TrialSet:
     speakers = _speaker_table(rng, cfg.n_speakers(split), cfg)
     n_spk = speakers.shape[0]
     n = cfg.trials_per_class(split)
     attacks = cfg.split_attacks(split)
-    trials: list[Trial] = []
+    # Rows 0..n-1 are target trials, n..2n-1 nontarget, 2n..3n-1 spoof.
+    x_asv = np.empty((3 * n, cfg.d_asv))
+    x_cm = np.empty((3 * n, cfg.d_cm))
 
     def bona_cm() -> np.ndarray:
         return cfg.cm_noise * rng.standard_normal(cfg.d_cm)
@@ -224,14 +226,8 @@ def _generate_split(
         spk = int(rng.integers(n_spk))
         enroll = _utterance(rng, speakers[spk], cfg)
         test = _utterance(rng, speakers[spk], cfg)
-        trials.append(
-            Trial(
-                id=f"{split}_tar_{i:05d}",
-                x_asv=np.abs(enroll - test),
-                x_cm=bona_cm(),
-                label=TrialLabel(AsvLabel.TARGET, CmLabel.BONAFIDE),
-            )
-        )
+        x_asv[i] = np.abs(enroll - test)
+        x_cm[i] = bona_cm()
 
     for i in range(n):
         spk = int(rng.integers(n_spk))
@@ -240,17 +236,11 @@ def _generate_split(
             other += 1
         enroll = _utterance(rng, speakers[spk], cfg)
         test = _utterance(rng, speakers[other], cfg)
-        trials.append(
-            Trial(
-                id=f"{split}_non_{i:05d}",
-                x_asv=np.abs(enroll - test),
-                x_cm=bona_cm(),
-                label=TrialLabel(AsvLabel.NONTARGET, CmLabel.BONAFIDE),
-            )
-        )
+        x_asv[n + i] = np.abs(enroll - test)
+        x_cm[n + i] = bona_cm()
 
-    for i in range(n):
-        attack = attacks[i % len(attacks)]  # round-robin keeps counts even
+    spoof_attacks = [attacks[i % len(attacks)] for i in range(n)]  # round-robin keeps counts even
+    for i, attack in enumerate(spoof_attacks):
         spk = int(rng.integers(n_spk))
         enroll = _utterance(rng, speakers[spk], cfg)
         # The spoof utterance sits at a controlled distance from the target
@@ -262,16 +252,14 @@ def _generate_split(
             * _random_unit(rng, cfg.d_asv)
         )
         test = _utterance(rng, speakers[spk] + offset, cfg)
-        x_cm = cm_spoof_mean(cfg, attack, dirs[attack.attack_id]) + bona_cm()
-        trials.append(
-            Trial(
-                id=f"{split}_spf_{i:05d}",
-                x_asv=np.abs(enroll - test),
-                x_cm=x_cm,
-                label=TrialLabel(AsvLabel.TARGET, CmLabel.SPOOF, attack.attack_id),
-            )
-        )
-    return tuple(trials)
+        x_asv[2 * n + i] = np.abs(enroll - test)
+        x_cm[2 * n + i] = cm_spoof_mean(cfg, attack, dirs[attack.attack_id]) + bona_cm()
+
+    ids = [f"{split}_{kind}_{i:05d}" for kind in ("tar", "non", "spf") for i in range(n)]
+    tar, non = (TrialLabel(asv, CmLabel.BONAFIDE) for asv in (AsvLabel.TARGET, AsvLabel.NONTARGET))
+    spoof = {a.attack_id: TrialLabel(AsvLabel.TARGET, CmLabel.SPOOF, a.attack_id) for a in attacks}
+    labels = [tar] * n + [non] * n + [spoof[a.attack_id] for a in spoof_attacks]
+    return TrialSet(ids, labels, x_asv, x_cm)
 
 
 def generate_world(cfg: WorldConfig) -> Splits:
@@ -327,31 +315,29 @@ def _dataset_bce(scorer: Scorer, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def _pretrain_scorer(
-    trials: Sequence[Trial],
-    pools: list[list[Trial]],
-    feature,
-    target,
-    input_dim: int,
+    trials: TrialSet,
+    pools: list[np.ndarray],
+    system: str,
     lr: float,
     max_epochs: int,
     pre: PretrainConfig,
     rng: np.random.Generator,
     init_seed: int,
 ) -> Scorer:
-    """Train one scorer with BCE until the epoch loss plateaus (relative
-    improvement below plateau_tol) or max_epochs is reached."""
-    scorer = Scorer.create([input_dim, pre.hidden, 1], Activation.TANH, seed=init_seed)
+    """Train one system's ("asv" or "cm") scorer with BCE until the epoch loss
+    plateaus (relative improvement below plateau_tol) or max_epochs is
+    reached."""
+    x, y = bce_inputs(trials, system)
+    scorer = Scorer.create([x.shape[1], pre.hidden, 1], Activation.TANH, seed=init_seed)
     cfg = TrainConfig(
         lr=lr, batch_size=pre.batch_size, epochs=1, balanced=True, seed=pre.seed
     )
-    x = np.stack([feature(t) for t in trials])
-    y = np.asarray([target(t) for t in trials], dtype=np.float64)
     best = _dataset_bce(scorer, x, y)
     if not math.isfinite(best):
         raise RuntimeError("pretraining diverged before the first epoch")
     stalled = 0
     for _ in range(max_epochs):
-        bce_epoch(scorer, trials, pools, feature, target, cfg, rng)
+        bce_epoch(scorer, trials, pools, system, cfg, rng)
         cur = _dataset_bce(scorer, x, y)
         if not math.isfinite(cur):
             raise RuntimeError("pretraining diverged (non-finite loss)")
@@ -367,7 +353,7 @@ def _pretrain_scorer(
     return scorer
 
 
-def pretrain_pair(train: Sequence[Trial], pre: PretrainConfig) -> PolicyPair:
+def pretrain_pair(train: TrialSet, pre: PretrainConfig) -> PolicyPair:
     """Pre-train the two systems separately on their own tasks.
 
     The verification scorer sees bonafide trials only (target vs nontarget);
@@ -380,19 +366,17 @@ def pretrain_pair(train: Sequence[Trial], pre: PretrainConfig) -> PolicyPair:
     rng_cm = np.random.default_rng(children[1])
 
     cm_pools = label_pools(train, "cm_label")
-    bona = cm_pools[0] if len(cm_pools) == 2 else []
+    bona = train.take(cm_pools[0] if len(cm_pools) == 2 else np.empty(0, dtype=np.intp))
     asv_pools = label_pools(bona, "asv_label")
     if len(asv_pools) < 2:
         raise ValueError("pretraining needs every class present in the train split")
 
-    d_asv = train[0].x_asv.size
-    d_cm = train[0].x_cm.size
     asv = _pretrain_scorer(
-        bona, asv_pools, lambda t: t.x_asv, asv_bce_target, d_asv,
-        pre.asv_lr, pre.asv_max_epochs, pre, rng_asv, init_seed=pre.seed * 2 + 1,
+        bona, asv_pools, "asv", pre.asv_lr, pre.asv_max_epochs, pre, rng_asv,
+        init_seed=pre.seed * 2 + 1,
     )
     cm = _pretrain_scorer(
-        list(train), cm_pools, lambda t: t.x_cm, cm_bce_target, d_cm,
-        pre.cm_lr, pre.cm_max_epochs, pre, rng_cm, init_seed=pre.seed * 2 + 2,
+        train, cm_pools, "cm", pre.cm_lr, pre.cm_max_epochs, pre, rng_cm,
+        init_seed=pre.seed * 2 + 2,
     )
     return PolicyPair(asv=Policy(asv), cm=Policy(cm))

@@ -4,7 +4,9 @@ and the soft-cost trainer.
 
 Every method runs through one batch loop (train_epoch) inside one epoch loop
 (run_method). A method supplies only its batch source and its step, which
-updates the systems from one batch and returns that batch's loss.
+updates the systems from one batch and returns that batch's loss. A batch is
+an index array taken from a TrialSet: one matrix forward per system, with
+targets and rewards looked up by batch.classes.
 
 One training run owns its RNG streams and is strictly sequential, so a fixed
 seed reproduces the run bit for bit.
@@ -16,7 +18,7 @@ import logging
 import math
 from dataclasses import asdict, dataclass, replace
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -26,16 +28,13 @@ from .nn import Direction, ForwardCache, GradientTape, Scorer
 from .records import METRIC_FIELDS, RunRecord, TelemetryRow
 from .soft_tdcf import SoftThresholds, soft_tdcf_train_step
 from .types import (
-    AsvLabel,
     ClassScores,
-    CmLabel,
     Decision,
     ScoreSet,
     TandemCostParams,
-    Trial,
     TrialClass,
     TrialLabel,
-    class_codes,
+    TrialSet,
 )
 
 logger = logging.getLogger(__name__)
@@ -254,53 +253,53 @@ def reward(spec: RewardSpec, a_tandem: Decision, label: TrialLabel) -> float:
 # Minibatch sampling and the batch loop
 # ---------------------------------------------------------------------------
 
-def label_pools(data: Sequence[Trial], attribute: str) -> list[list[Trial]]:
-    """The trials grouped by one enum-valued TrialLabel attribute (asv_label,
-    cm_label or tandem_class): one pool per value present, in data order
-    within a pool, and the pools in the enum's declaration order."""
-    pools: dict[Enum, list[Trial]] = {}
-    for t in data:
-        pools.setdefault(getattr(t.label, attribute), []).append(t)
-    return [pools[m] for m in sorted(pools, key=lambda m: list(type(m)).index(m))]
+def label_pools(data: TrialSet, attribute: str) -> list[np.ndarray]:
+    """The row indices of data's trials grouped by one enum-valued TrialLabel
+    attribute (asv_label, cm_label or tandem_class): one index array per
+    value present, ascending within a pool, and the pools in the enum's
+    declaration order."""
+    pools: dict[Enum, list[int]] = {}
+    for i, label in enumerate(data.labels):
+        pools.setdefault(getattr(label, attribute), []).append(i)
+    order = sorted(pools, key=lambda m: list(type(m)).index(m))
+    return [np.array(pools[m], dtype=np.intp) for m in order]
 
 
-def _balanced_batch(
-    pools: Sequence[Sequence[Trial]], size: int, rng: np.random.Generator
-) -> list[Trial]:
-    """Sample with replacement, picking the class uniformly per item."""
-    batch = []
-    for _ in range(size):
+def _balanced_batch(pools: list[np.ndarray], size: int, rng: np.random.Generator) -> np.ndarray:
+    """Sample row indices with replacement, picking the class uniformly per item."""
+    batch = np.empty(size, dtype=np.intp)
+    for k in range(size):
         pool = pools[int(rng.integers(len(pools)))]
-        batch.append(pool[int(rng.integers(len(pool)))])
+        batch[k] = pool[int(rng.integers(len(pool)))]
     return batch
 
 
 def _minibatches(
-    data: Sequence[Trial], pools: Sequence[Sequence[Trial]], cfg: TrainConfig, rng: np.random.Generator
-) -> Iterator[list[Trial]]:
-    """One epoch worth of minibatches: ceil(N/B) batches of size B when
-    balanced over the given class pools of data (with replacement), or a
-    shuffled partition of data otherwise."""
-    n_batches = math.ceil(len(data) / cfg.batch_size)
+    n: int, pools: list[np.ndarray], cfg: TrainConfig, rng: np.random.Generator
+) -> Iterator[np.ndarray]:
+    """One epoch worth of minibatches of n trials, as row-index arrays:
+    ceil(n/B) batches of size B when balanced over the given class pools
+    (with replacement), or a shuffled partition of the rows otherwise."""
+    n_batches = math.ceil(n / cfg.batch_size)
     if cfg.balanced:
         for _ in range(n_batches):
             yield _balanced_batch(pools, cfg.batch_size, rng)
     else:
-        order = rng.permutation(len(data))
+        order = rng.permutation(n)
         for i in range(n_batches):
-            yield [data[j] for j in order[i * cfg.batch_size : (i + 1) * cfg.batch_size]]
+            yield order[i * cfg.batch_size : (i + 1) * cfg.batch_size]
 
 
-def iterate_batches(data: Sequence[Trial], cfg: TrainConfig, rng: np.random.Generator):
+def iterate_batches(data: TrialSet, cfg: TrainConfig, rng: np.random.Generator):
     """One epoch of the tandem methods' minibatches; balanced sampling picks
     target-bonafide, nontarget-bonafide and spoof trials equally often."""
-    return _minibatches(data, label_pools(data, "tandem_class"), cfg, rng)
+    return map(data.take, _minibatches(len(data), label_pools(data, "tandem_class"), cfg, rng))
 
 
 def train_epoch(
     batches: Iterable[tuple], step: Callable[..., float | None], seen_ids: set[str] | None = None
 ) -> list[float]:
-    """The batch loop of every method. A batch holds one trial list per
+    """The batch loop of every method. A batch holds one trial set per
     sampling stream; step(*batch) updates the systems from it and returns
     the batch loss, or None when it skips the batch. Returns the losses of
     the batches trained on and adds their trial ids to seen_ids."""
@@ -310,7 +309,7 @@ def train_epoch(
         if loss is None:
             continue
         if seen_ids is not None:
-            seen_ids.update(t.id for trials in batch for t in trials)
+            seen_ids.update(*(trials.ids for trials in batch))
         losses.append(loss)
     return losses
 
@@ -322,7 +321,7 @@ def train_epoch(
 
 def reinforce_batch(
     pair: PolicyPair,
-    batch: Sequence[Trial],
+    batch: TrialSet,
     spec: RewardSpec,
     rng: np.random.Generator,
     use_baseline: bool = False,
@@ -335,15 +334,15 @@ def reinforce_batch(
     Returns (surrogate value, asv tape, cm tape) without touching parameters.
     """
     n = len(batch)
-    p_asv, cache_asv = policy_accept_probabilities(pair.asv, np.stack([t.x_asv for t in batch]))
-    p_cm, cache_cm = policy_accept_probabilities(pair.cm, np.stack([t.x_cm for t in batch]))
+    p_asv, cache_asv = policy_accept_probabilities(pair.asv, batch.x_asv)
+    p_cm, cache_cm = policy_accept_probabilities(pair.cm, batch.x_cm)
     # Row i holds trial i's ASV draw then its CM draw: the same stream, in the
     # same order, as one sample_action per subsystem per trial.
     u = rng.uniform(size=(n, 2))
     accept = (u[:, 0] <= p_asv) & (u[:, 1] <= p_cm)
     joint = p_asv * p_cm
     p_tandem = np.where(accept, joint, 1.0 - joint)
-    r = rewards(spec, accept, class_codes(t.label for t in batch))
+    r = rewards(spec, accept, batch.classes)
     if use_baseline:
         r = r - float(np.mean(r))
     surrogate = float(np.sum(np.log(p_tandem) * r / n))
@@ -360,7 +359,7 @@ def reinforce_batch(
 
 def reinforce_epoch(
     pair: PolicyPair,
-    data: Sequence[Trial],
+    data: TrialSet,
     spec: RewardSpec,
     cfg: TrainConfig,
     rng: np.random.Generator,
@@ -370,7 +369,7 @@ def reinforce_epoch(
     size cfg.lr on both policies (and on the calibration heads when
     cfg.train_calibration). Returns per-batch surrogate values."""
 
-    def step(batch: Sequence[Trial]) -> float:
+    def step(batch: TrialSet) -> float:
         asv_cal = np.zeros(2) if cfg.train_calibration else None
         cm_cal = np.zeros(2) if cfg.train_calibration else None
         surrogate, tape_asv, tape_cm = reinforce_batch(
@@ -395,13 +394,15 @@ def reinforce_epoch(
 # ---------------------------------------------------------------------------
 
 
-def bce_batch(
-    scorer: Scorer, examples: Sequence[tuple[np.ndarray, float]]
-) -> tuple[float, GradientTape]:
-    """Mean binary cross-entropy (on sigmoid(score)) and its gradient."""
-    x = np.stack([example[0] for example in examples])
-    y = np.asarray([example[1] for example in examples], dtype=np.float64)
-    n = len(examples)
+# Cross-entropy target of each system by TrialClass code: the ASV target is
+# the claimed speaker (target-bonafide or spoof), the CM target bonafide.
+BCE_TARGETS = {"asv": np.array([1.0, 0.0, 1.0]), "cm": np.array([1.0, 1.0, 0.0])}
+
+
+def bce_batch(scorer: Scorer, x: np.ndarray, y: np.ndarray) -> tuple[float, GradientTape]:
+    """Mean binary cross-entropy (on sigmoid(score)) of the rows of x against
+    the 0/1 targets y, and its gradient."""
+    n = len(y)
     scores, cache = scorer.forward_batch(x)
     # log(1 + e^z) - y*z, numerically stable; d/dz = sigmoid(z) - y.
     loss = float(np.sum((np.logaddexp(0.0, scores) - y * scores) / n))
@@ -410,48 +411,38 @@ def bce_batch(
     return loss, tape
 
 
-def bce_step(
-    scorer: Scorer,
-    batch: Sequence[Trial],
-    feature: Callable[[Trial], np.ndarray],
-    target: Callable[[Trial], float],
-    lr: float,
-) -> float:
-    """One descent step on the batch's binary cross-entropy; returns the
-    loss before the step."""
-    loss, tape = bce_batch(scorer, [(feature(t), target(t)) for t in batch])
+def bce_inputs(trials: TrialSet, system: str) -> tuple[np.ndarray, np.ndarray]:
+    """One system's ("asv" or "cm") input rows and cross-entropy targets."""
+    return getattr(trials, f"x_{system}"), BCE_TARGETS[system][trials.classes]
+
+
+def bce_step(scorer: Scorer, batch: TrialSet, system: str, lr: float) -> float:
+    """One descent step on one system's cross-entropy over the batch; returns
+    the loss before the step."""
+    loss, tape = bce_batch(scorer, *bce_inputs(batch, system))
     scorer.sgd_step(tape, lr, Direction.DESCENT)
     return loss
 
 
 def bce_epoch(
     scorer: Scorer,
-    data: Sequence[Trial],
-    pools: Sequence[Sequence[Trial]],
-    feature: Callable[[Trial], np.ndarray],
-    target: Callable[[Trial], float],
+    data: TrialSet,
+    pools: list[np.ndarray],
+    system: str,
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> list[float]:
-    """One epoch of descent on binary cross-entropy over data, balanced
-    over its class pools when cfg.balanced."""
+    """One epoch of descent on one system's cross-entropy over data,
+    balanced over its class pools when cfg.balanced."""
     return train_epoch(
-        zip(_minibatches(data, pools, cfg, rng)),
-        lambda batch: bce_step(scorer, batch, feature, target, cfg.lr),
+        zip(map(data.take, _minibatches(len(data), pools, cfg, rng))),
+        lambda batch: bce_step(scorer, batch, system, cfg.lr),
     )
-
-
-def asv_bce_target(trial: Trial) -> float:
-    return 1.0 if trial.label.asv_label is AsvLabel.TARGET else 0.0
-
-
-def cm_bce_target(trial: Trial) -> float:
-    return 1.0 if trial.label.cm_label is CmLabel.BONAFIDE else 0.0
 
 
 def finetune_epoch(
     pair: PolicyPair,
-    data: Sequence[Trial],
+    data: TrialSet,
     cfg: TrainConfig,
     rng_asv: np.random.Generator,
     rng_cm: np.random.Generator,
@@ -466,14 +457,14 @@ def finetune_epoch(
     Returns per-batch means of the two task losses.
     """
 
-    def step(asv_batch: Sequence[Trial], cm_batch: Sequence[Trial]) -> float:
-        asv_loss = bce_step(pair.asv.scorer, asv_batch, lambda t: t.x_asv, asv_bce_target, cfg.lr)
-        cm_loss = bce_step(pair.cm.scorer, cm_batch, lambda t: t.x_cm, cm_bce_target, cfg.lr)
+    def step(asv_batch: TrialSet, cm_batch: TrialSet) -> float:
+        asv_loss = bce_step(pair.asv.scorer, asv_batch, "asv", cfg.lr)
+        cm_loss = bce_step(pair.cm.scorer, cm_batch, "cm", cfg.lr)
         return (asv_loss + cm_loss) / 2.0
 
     batches = zip(
-        _minibatches(data, label_pools(data, "asv_label"), cfg, rng_asv),
-        _minibatches(data, label_pools(data, "cm_label"), cfg, rng_cm),
+        map(data.take, _minibatches(len(data), label_pools(data, "asv_label"), cfg, rng_asv)),
+        map(data.take, _minibatches(len(data), label_pools(data, "cm_label"), cfg, rng_cm)),
     )
     return train_epoch(batches, step, seen_ids)
 
@@ -483,13 +474,14 @@ def finetune_epoch(
 # ---------------------------------------------------------------------------
 
 
-def score_trials(pair: PolicyPair, trials: Sequence[Trial]) -> ScoreSet:
+def score_trials(pair: PolicyPair, trials: TrialSet) -> ScoreSet:
     """Raw scorer outputs for every trial (calibration is monotone and does
     not change threshold-swept metrics, so metrics always use raw scores)."""
-    asv = pair.asv.scorer.score_rows([t.x_asv for t in trials])
-    cm = pair.cm.scorer.score_rows([t.x_cm for t in trials])
-    return ScoreSet.from_rows(
-        zip((t.id for t in trials), (t.label for t in trials), asv.tolist(), cm.tolist())
+    return ScoreSet(
+        trials.ids,
+        trials.labels,
+        pair.asv.scorer.score_rows(trials.x_asv),
+        pair.cm.scorer.score_rows(trials.x_cm),
     )
 
 
@@ -498,13 +490,13 @@ class Splits:
     """The three trial sets: train feeds pretraining and calibration only,
     dev is the tandem-training set, eval is never trained on."""
 
-    train: tuple[Trial, ...]
-    dev: tuple[Trial, ...]
-    eval: tuple[Trial, ...]
+    train: TrialSet
+    dev: TrialSet
+    eval: TrialSet
 
 
 def fit_calibrators(
-    pair: PolicyPair, train_trials: Sequence[Trial], p: TandemCostParams
+    pair: PolicyPair, train_trials: TrialSet, p: TandemCostParams
 ) -> PolicyPair:
     """Attach affine calibration heads fitted on pretraining-side scores.
 
@@ -601,11 +593,11 @@ def run_method(
             tau_cm=eer_arrays(bona_cm, dev_classes.sp_cm)[1],
         )
 
-        def soft_step(batch: Sequence[Trial]) -> float | None:
+        def soft_step(batch: TrialSet) -> float | None:
             # Soft rates are per-class means, so a batch must contain all
             # three classes. A balanced batch of the default size misses a
             # class with negligible probability; tiny batches may not.
-            if len(label_pools(batch, "tandem_class")) < len(TrialClass):
+            if not np.bincount(batch.classes, minlength=len(TrialClass)).all():
                 logger.debug("skipping soft-cost batch missing a class")
                 return None
             return soft_tdcf_train_step(

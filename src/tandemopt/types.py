@@ -2,8 +2,9 @@
 
 A trial's class is decided once, by TrialLabel.tandem_class, and the cost
 weight of an error on each class once, by TandemCostParams.class_weights;
-everything else indexes the weights by the class code. A ScoreSet is held as
-columns; ScoreEntry objects exist only while it is iterated.
+everything else indexes the weights by the class code. A TrialSet (a split)
+and a ScoreSet (a score pass) are held as columns and checked once; Trial and
+ScoreEntry records exist only while a set is iterated.
 
 Everything here is immutable after construction and safe to share across
 threads. The text formats (protocol, score, and feature files) are the
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -111,23 +112,12 @@ def class_codes(labels: Iterable[TrialLabel]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Trial:
-    """One evaluation unit: detector inputs plus ground-truth labels."""
+    """One unchecked trial record: what iterating a TrialSet yields."""
 
     id: str
     x_asv: np.ndarray
     x_cm: np.ndarray
     label: TrialLabel
-
-    def __post_init__(self) -> None:
-        for name in ("x_asv", "x_cm"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            if arr.ndim != 1:
-                raise ValueError(f"{name} of trial {self.id!r} must be a 1-D vector")
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"{name} of trial {self.id!r} has non-finite entries")
-            arr = arr.copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
 
 
 def validate_cost_params(p: "TandemCostParams") -> None:
@@ -209,10 +199,112 @@ class ScoreEntry:
 
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
-    """A read-only copy of values."""
-    arr = np.array(values, dtype=dtype)
+    """A read-only C-contiguous copy of values."""
+    arr = np.array(values, dtype=dtype, order="C")
     arr.setflags(write=False)
     return arr
+
+
+class RowError(ValueError):
+    """A bad row of a trial set or score set; row is its index."""
+
+    def __init__(self, message: str, row: int):
+        super().__init__(message)
+        self.row = row
+
+
+def check_rows(ids: Sequence[str], finite: np.ndarray, what: str) -> None:
+    """Raise RowError for the first row whose trial id repeats an earlier one
+    or whose values (what) are not all finite (finite: one bool per row)."""
+    first = len(ids) if finite.all() else int(np.argmin(finite))
+    if len(set(ids)) != len(ids):
+        seen: set[str] = set()
+        for i, trial_id in enumerate(ids[: first + 1]):
+            if trial_id in seen:
+                raise RowError(f"duplicate trial_id {trial_id!r}", i)
+            seen.add(trial_id)
+    if first < len(ids):
+        raise RowError(f"non-finite {what} for trial {ids[first]!r}", first)
+
+
+class _RowSet:
+    """What TrialSet and ScoreSet share: columns with one row per trial, in
+    trial order (an id tuple, the labels tuple, two read-only C-contiguous
+    float64 value arrays and the labels' TrialClass codes), checked once when
+    built. A subclass names its id column (ID), its value columns (VALUES),
+    their number of dimensions (NDIM) and what the values are (WHAT)."""
+
+    def __post_init__(self) -> None:
+        ids, labels = tuple(getattr(self, self.ID)), tuple(self.labels)
+        values = [_frozen_array(getattr(self, name)) for name in self.VALUES]
+        classes = _frozen_array(class_codes(labels), dtype=np.intp)
+        names = (self.ID, "labels", *self.VALUES, "classes")
+        for name, column in zip(names, (ids, labels, *values, classes)):
+            object.__setattr__(self, name, column)
+        if len(labels) != len(ids) or any(v.ndim != self.NDIM or len(v) != len(ids) for v in values):
+            raise ValueError(f"{type(self).__name__} columns must be {self.NDIM}-D and of one length")
+        finite = [np.isfinite(v).all(axis=tuple(range(1, self.NDIM))) for v in values]
+        check_rows(ids, finite[0] & finite[1], self.WHAT)
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __eq__(self, other: object) -> bool:
+        return (
+            type(other) is type(self)
+            and (getattr(self, self.ID), self.labels) == (getattr(other, self.ID), other.labels)
+            and all(np.array_equal(getattr(self, v), getattr(other, v)) for v in self.VALUES)
+        )
+
+    def take(self, index: np.ndarray):
+        """The trials at index (row numbers, repeats allowed, or a bool mask),
+        in index order; part of a checked set is not checked again."""
+        if index.dtype == bool:
+            index = np.flatnonzero(index)
+        rows = index.tolist()
+        part = object.__new__(type(self))
+        for name in (self.ID, "labels", *self.VALUES, "classes"):
+            column = getattr(self, name)
+            if isinstance(column, tuple):
+                column = tuple(map(column.__getitem__, rows))
+            else:
+                column = column[index]
+                column.setflags(write=False)
+            object.__setattr__(part, name, column)
+        return part
+
+
+@dataclass(frozen=True, eq=False)
+class TrialSet(_RowSet):
+    """A split of trials; the unit trainers and scoring consume. Columns: ids,
+    labels, the feature matrices x_asv (N, d_asv) and x_cm (N, d_cm), one row
+    per trial, and classes. Iterating yields Trial records."""
+
+    ID, VALUES, NDIM, WHAT = "ids", ("x_asv", "x_cm"), 2, "features"
+
+    ids: tuple[str, ...]
+    labels: tuple[TrialLabel, ...]
+    x_asv: np.ndarray
+    x_cm: np.ndarray
+    classes: np.ndarray = field(init=False, repr=False)
+
+    @classmethod
+    def from_trials(cls, trials: Iterable[Trial]) -> "TrialSet":
+        """The set of the given trials, in order; the first trial whose x_asv
+        or x_cm is not a vector as wide as the first trial's is reported."""
+        trials = list(trials)
+        columns = {}
+        for name in cls.VALUES:
+            rows = [getattr(t, name) for t in trials]
+            for t, row in zip(trials, rows):
+                if np.ndim(row) != 1 or np.shape(row) != np.shape(rows[0]):
+                    raise ValueError(f"{name} of trial {t.id!r} is not a 1-D vector as wide as the first")
+            width = len(rows[0]) if rows else 0
+            columns[name] = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+        return cls([t.id for t in trials], [t.label for t in trials], **columns)
+
+    def __iter__(self) -> Iterator[Trial]:
+        return map(Trial, self.ids, self.x_asv, self.x_cm, self.labels)
 
 
 class ClassScores:
@@ -234,71 +326,27 @@ class ClassScores:
 
 
 @dataclass(frozen=True, eq=False)
-class ScoreSet:
+class ScoreSet(_RowSet):
     """Aligned per-trial detector scores and labels; the unit metrics consume.
+    Columns: trial_ids, labels, asv and cm (one score each per trial) and
+    classes. Iterating yields ScoreEntry records."""
 
-    Columns, in trial order: trial_ids and labels (tuples), asv and cm
-    (read-only float64 arrays) and classes (the labels' TrialClass codes).
-    """
+    ID, VALUES, NDIM, WHAT = "trial_ids", ("asv", "cm"), 1, "score"
 
     trial_ids: tuple[str, ...]
     labels: tuple[TrialLabel, ...]
     asv: np.ndarray
     cm: np.ndarray
-
-    def __post_init__(self) -> None:
-        self._set_columns(self.trial_ids, self.labels, self.asv, self.cm)
-        ids = self.trial_ids
-        if len(self.labels) != len(ids) or not self.asv.shape == self.cm.shape == (len(ids),):
-            raise ValueError("score set columns must be 1-D and of one length")
-        # The first trial with a repeated id or a non-finite score is reported.
-        finite = np.isfinite(self.asv) & np.isfinite(self.cm)
-        first_bad = len(ids) if finite.all() else int(np.argmin(finite))
-        if len(set(ids)) != len(ids):
-            seen: set[str] = set()
-            for trial_id in ids[: first_bad + 1]:
-                if trial_id in seen:
-                    raise ValueError(f"duplicate trial_id {trial_id!r}")
-                seen.add(trial_id)
-        if first_bad < len(ids):
-            raise ValueError(f"non-finite score for trial {ids[first_bad]!r}")
-
-    def __len__(self) -> int:
-        return len(self.trial_ids)
+    classes: np.ndarray = field(init=False, repr=False)
 
     def __iter__(self) -> Iterator[ScoreEntry]:
         return map(ScoreEntry, self.trial_ids, self.labels, self.asv.tolist(), self.cm.tolist())
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, ScoreSet)
-            and (self.trial_ids, self.labels) == (other.trial_ids, other.labels)
-            and np.array_equal(self.asv, other.asv)
-            and np.array_equal(self.cm, other.cm)
-        )
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple[str, TrialLabel, float, float]]) -> "ScoreSet":
         return cls(*(tuple(zip(*rows)) or ((), (), (), ())))
 
-    @cached_property
-    def classes(self) -> np.ndarray:
-        return _frozen_array(class_codes(self.labels), dtype=np.intp)
-
-    def _set_columns(self, trial_ids, labels, asv, cm) -> "ScoreSet":
-        """Store ids and labels as tuples and scores as read-only float64 copies."""
-        columns = (tuple(trial_ids), tuple(labels), _frozen_array(asv), _frozen_array(cm))
-        for name, value in zip(("trial_ids", "labels", "asv", "cm"), columns):
-            object.__setattr__(self, name, value)
-        return self
-
-    def select(self, mask: np.ndarray) -> "ScoreSet":
-        """The trials where mask is true, in trial order; part of a checked
-        set is not checked again."""
-        keep = mask.tolist()
-        return object.__new__(ScoreSet)._set_columns(
-            compress(self.trial_ids, keep), compress(self.labels, keep), self.asv[mask], self.cm[mask]
-        )
+    select = _RowSet.take  # the name filter_attacks uses, with a bool mask
 
     def class_split(self) -> ClassScores:
         """The per-class arrays, built on first use and shared afterwards."""
@@ -337,68 +385,75 @@ def read_protocol(path) -> dict[str, TrialLabel]:
             trial_id, asv, cm, attack = parts
             if trial_id in labels:
                 raise ValueError(f"{path}:{lineno}: duplicate trial_id {trial_id!r}")
-            labels[trial_id] = TrialLabel(
-                asv_label=AsvLabel(asv),
-                cm_label=CmLabel(cm),
-                attack_id=None if attack == "-" else attack,
-            )
+            try:
+                labels[trial_id] = TrialLabel(
+                    asv_label=AsvLabel(asv),
+                    cm_label=CmLabel(cm),
+                    attack_id=None if attack == "-" else attack,
+                )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return labels
 
 
-def write_scores(path, scores: ScoreSet) -> None:
-    fmt = FLOAT_FORMAT
+def _write_rows(path, ids: Sequence[str], values: np.ndarray) -> None:
+    """One 'trial_id value...' line per row, values printed exactly."""
     with open(path, "w", encoding="utf-8") as fh:
-        for trial_id, asv, cm in zip(scores.trial_ids, scores.asv.tolist(), scores.cm.tolist()):
-            fh.write(f"{trial_id} {fmt.format(asv)} {fmt.format(cm)}\n")
+        for trial_id, row in zip(ids, values.tolist()):
+            fh.write(f"{trial_id} {' '.join(map(FLOAT_FORMAT.format, row))}\n")
+
+
+def _read_rows(path, labels: dict[str, TrialLabel], width: int, build):
+    """build(ids, labels, values) over the 'trial_id value...' lines of a
+    file, in file order, with values an (N, width) matrix. A line that does
+    not parse, and a row the built set rejects, is an error naming the file
+    and line."""
+    ids, linenos, values = [], [], []
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            parts = line.split()
+            if not parts:
+                continue
+            if len(parts) != 1 + width:
+                raise ValueError(f"{path}:{lineno}: expected {1 + width} fields, got {len(parts)}")
+            if parts[0] not in labels:
+                raise ValueError(f"{path}:{lineno}: trial {parts[0]!r} not in protocol")
+            try:
+                values.extend(map(float, parts[1:]))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            ids.append(parts[0])
+            linenos.append(lineno)
+    matrix = np.array(values, dtype=np.float64).reshape(len(ids), width)
+    try:
+        return build(ids, [labels[i] for i in ids], matrix)
+    except RowError as exc:
+        raise ValueError(f"{path}:{linenos[exc.row]}: {exc}") from None
+
+
+def write_scores(path, scores: ScoreSet) -> None:
+    _write_rows(path, scores.trial_ids, np.column_stack([scores.asv, scores.cm]))
 
 
 def read_scores(path, labels: dict[str, TrialLabel]) -> ScoreSet:
-    rows = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(parts)}")
-            trial_id, asv, cm = parts
-            if trial_id not in labels:
-                raise ValueError(f"{path}:{lineno}: trial {trial_id!r} not in protocol")
-            rows.append((trial_id, labels[trial_id], float(asv), float(cm)))
-    return ScoreSet.from_rows(rows)
+    return _read_rows(path, labels, 2, lambda ids, labs, v: ScoreSet(ids, labs, *v.T))
 
 
-def write_features(path, trials: Iterable[Trial]) -> None:
-    fmt = FLOAT_FORMAT
-    with open(path, "w", encoding="utf-8") as fh:
-        for t in trials:
-            values = " ".join(fmt.format(v) for v in np.concatenate([t.x_asv, t.x_cm]))
-            fh.write(f"{t.id} {values}\n")
+def write_features(path, trials: TrialSet) -> None:
+    _write_rows(path, trials.ids, np.hstack([trials.x_asv, trials.x_cm]))
 
 
-def read_features(path, labels: dict[str, TrialLabel], d_asv: int, d_cm: int) -> list[Trial]:
+def read_features(path, labels: dict[str, TrialLabel], d_asv: int, d_cm: int) -> TrialSet:
     """One trial per protocol entry, in file order; a protocol trial without
     a feature line, or a repeated line, is an error."""
-    trials: dict[str, Trial] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts:
-                continue
-            if len(parts) != 1 + d_asv + d_cm:
-                raise ValueError(
-                    f"{path}:{lineno}: expected {1 + d_asv + d_cm} fields, got {len(parts)}"
-                )
-            trial_id = parts[0]
-            if trial_id not in labels:
-                raise ValueError(f"{path}:{lineno}: trial {trial_id!r} not in protocol")
-            if trial_id in trials:
-                raise ValueError(f"{path}:{lineno}: duplicate trial {trial_id!r}")
-            values = np.asarray([float(v) for v in parts[1:]], dtype=np.float64)
-            trials[trial_id] = Trial(trial_id, values[:d_asv], values[d_asv:], labels[trial_id])
-    missing = [trial_id for trial_id in labels if trial_id not in trials]
+    def trial_set(ids, labs, x):
+        return TrialSet(ids, labs, *np.hsplit(x, [d_asv]))
+
+    trials = _read_rows(path, labels, d_asv + d_cm, trial_set)
+    missing = labels.keys() - set(trials.ids)
     if missing:
+        first = next(trial_id for trial_id in labels if trial_id in missing)
         raise ValueError(
-            f"{path}: no features for {len(missing)} protocol trial(s), first {missing[0]!r}"
+            f"{path}: no features for {len(missing)} protocol trial(s), first {first!r}"
         )
-    return list(trials.values())
+    return trials

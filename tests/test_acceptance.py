@@ -65,6 +65,8 @@ from tandemopt.types import (
     TandemCostParams,
     Trial,
     TrialLabel,
+    TrialSet,
+    class_codes,
 )
 
 TB = TrialLabel(AsvLabel.TARGET, CmLabel.BONAFIDE)
@@ -205,7 +207,7 @@ def test_criterion_03_gradient_checks():
         other = Scorer.create([d, 4, 1], seed=seed_b)
         taus = SoftThresholds(float(rng.normal()), float(rng.normal()))
         cm_scores = np.array([other.forward(t.x_cm)[0] for t in trials])
-        labels = [t.label for t in trials]
+        classes = class_codes(t.label for t in trials)
 
         def soft_loss(scorer, tape):
             caches, scores = [], []
@@ -214,7 +216,7 @@ def test_criterion_03_gradient_checks():
                 scores.append(score)
                 caches.append(cache)
             value, grads = soft_tdcf_from_arrays(
-                np.array(scores), cm_scores, labels, taus, PARAMS
+                np.array(scores), cm_scores, classes, taus, PARAMS
             )
             if tape is not None:
                 for c, g in zip(caches, grads.d_asv_scores):
@@ -226,10 +228,11 @@ def test_criterion_03_gradient_checks():
         assert err <= 1e-4
 
         # binary cross-entropy
-        examples = [(t.x_cm, 1.0 if not t.label.is_spoof else 0.0) for t in trials]
+        x = np.stack([t.x_cm for t in trials])
+        y = np.array([1.0 if not t.label.is_spoof else 0.0 for t in trials])
 
         def ce_loss(scorer, tape):
-            value, grads = bce_batch(scorer, examples)
+            value, grads = bce_batch(scorer, x, y)
             if tape is not None:
                 tape.add(grads)
             return value
@@ -359,8 +362,9 @@ def test_criterion_05_pg_unbiasedness():
     rng = np.random.default_rng(1234)
     n = 100_000
     acc_asv, acc_cm = np.zeros(3), np.zeros(3)
+    batch = TrialSet.from_trials(trials)
     for _ in range(n):
-        _, tape_asv, tape_cm = reinforce_batch(pair, trials, spec, rng)
+        _, tape_asv, tape_cm = reinforce_batch(pair, batch, spec, rng)
         acc_asv += np.concatenate([tape_asv.d_weights[0].ravel(), tape_asv.d_biases[0]])
         acc_cm += np.concatenate([tape_cm.d_weights[0].ravel(), tape_cm.d_biases[0]])
     rel_asv = np.abs(acc_asv / n - g_asv) / np.abs(g_asv)

@@ -225,6 +225,29 @@ class TestInputChecks:
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
 
+    @pytest.mark.parametrize(
+        "system, key, value, message",
+        [("asv", None, None, "KeyError: 'asv'"),
+         ("cm", None, None, "KeyError: 'cm'"),
+         ("cm", None, [], "AttributeError"),
+         ("asv", "weights", None, "KeyError: 'weights'"),
+         ("asv", "biases", [], "expected 2 weight and bias arrays"),
+         ("cm", "activation", "relu6", "'relu6' is not a valid Activation")],
+    )
+    def test_checkpoint_pair_checked(self, workspace, tmp_path, capsys, system, key, value, message):
+        _, _, data, ckpt = workspace
+        payload = json.loads(Path(ckpt).read_text())
+        owner, name = (payload["pair"], system) if key is None else (payload["pair"][system], key)
+        if value is None:
+            del owner[name]
+        else:
+            owner[name] = value
+        bad = tmp_path / "bad_ckpt.json"
+        bad.write_text(json.dumps(payload))
+        assert self.evaluate(bad, data, tmp_path) == 2
+        err = capsys.readouterr().err
+        assert f"checkpoint {bad} has a malformed 'pair'" in err and message in err
+
     def test_checkpoint_not_an_object(self, workspace, tmp_path, capsys):
         _, _, data, _ = workspace
         bad = tmp_path / "list_ckpt.json"
@@ -302,6 +325,46 @@ class TestInputChecks:
                    str(data), "--seeds", "1", "--epochs", "1", "--out", str(out)] + flag)
         assert rc == 2
         assert "lr must be finite and positive" in capsys.readouterr().err
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("command", ["evaluate", "train-tandem"])
+    def test_unknown_excluded_attacks_rejected(self, workspace, tmp_path, capsys, command):
+        _, _, data, ckpt = workspace
+        out = tmp_path / "out"
+        args = {
+            "evaluate": ["evaluate", "--out", str(out / "r.json")],
+            "train-tandem": ["train-tandem", "--method", "REINFORCE", "--seeds", "1",
+                             "--epochs", "1", "--out", str(out)],
+        }[command]
+        rc = main(args + ["--ckpt", str(ckpt), "--data", str(data),
+                          "--exclude-attacks", "A17,A99,A98"])
+        assert rc == 2
+        assert "--exclude-attacks names attacks the data does not define: A98, A99" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    def test_excluded_attack_absent_from_split_accepted(self, workspace, tmp_path):
+        # A17 is an eval-only attack of the config: excluding it on dev is a no-op.
+        _, _, data, ckpt = workspace
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        assert main(["evaluate", "--ckpt", str(ckpt), "--data", str(data), "--split", "dev",
+                     "--out", str(a)]) == 0
+        assert main(["evaluate", "--ckpt", str(ckpt), "--data", str(data), "--split", "dev",
+                     "--exclude-attacks", "A17", "--out", str(b)]) == 0
+        ja, jb = json.loads(a.read_text()), json.loads(b.read_text())
+        assert jb.pop("excluded_attacks") == ["A17"] and ja.pop("excluded_attacks") == []
+        assert ja == jb
+
+    @pytest.mark.parametrize("seeds", ["0", "-2"])
+    def test_seeds_must_be_positive(self, workspace, tmp_path, capsys, seeds):
+        _, _, data, ckpt = workspace
+        out = tmp_path / "runs"
+        rc = main(["train-tandem", "--method", "REINFORCE", "--ckpt", str(ckpt), "--data",
+                   str(data), "--seeds", seeds, "--out", str(out)])
+        assert rc == 2
+        assert f"--seeds must be at least 1, got {seeds}" in capsys.readouterr().err
         assert not out.exists()
 
 

@@ -20,6 +20,8 @@ from tandemopt.types import (
     TandemCostParams,
     Trial,
     TrialLabel,
+    TrialSet,
+    class_codes,
 )
 
 TB = TrialLabel(AsvLabel.TARGET, CmLabel.BONAFIDE)
@@ -89,23 +91,23 @@ class TestSoftTdcfLoss:
             taus = SoftThresholds(float(rng.normal()), float(rng.normal()))
             asv = np.array([e.asv_score for e in batch])
             cm = np.array([e.cm_score for e in batch])
-            labels = [e.label for e in batch]
-            loss, grads = soft_tdcf_from_arrays(asv, cm, labels, taus, p)
+            classes = batch.classes
+            loss, grads = soft_tdcf_from_arrays(asv, cm, classes, taus, p)
             eps = 1e-6
-            for i in range(len(labels)):
+            for i in range(len(classes)):
                 for arr, g in ((asv, grads.d_asv_scores), (cm, grads.d_cm_scores)):
                     arr[i] += eps
-                    lp = soft_tdcf_from_arrays(asv, cm, labels, taus, p)[0]
+                    lp = soft_tdcf_from_arrays(asv, cm, classes, taus, p)[0]
                     arr[i] -= 2 * eps
-                    lm = soft_tdcf_from_arrays(asv, cm, labels, taus, p)[0]
+                    lm = soft_tdcf_from_arrays(asv, cm, classes, taus, p)[0]
                     arr[i] += eps
                     fd = (lp - lm) / (2 * eps)
                     assert g[i] == pytest.approx(fd, rel=1e-4, abs=1e-9)
             for attr, g in (("tau_asv", grads.d_tau_asv), ("tau_cm", grads.d_tau_cm)):
                 setattr(taus, attr, getattr(taus, attr) + eps)
-                lp = soft_tdcf_from_arrays(asv, cm, labels, taus, p)[0]
+                lp = soft_tdcf_from_arrays(asv, cm, classes, taus, p)[0]
                 setattr(taus, attr, getattr(taus, attr) - 2 * eps)
-                lm = soft_tdcf_from_arrays(asv, cm, labels, taus, p)[0]
+                lm = soft_tdcf_from_arrays(asv, cm, classes, taus, p)[0]
                 setattr(taus, attr, getattr(taus, attr) + eps)
                 assert g == pytest.approx((lp - lm) / (2 * eps), rel=1e-4, abs=1e-9)
 
@@ -165,7 +167,7 @@ def make_trials(rng, n_per_class=8, d=3):
         trials.append(Trial(f"tb{i}", rng.normal(1, 1, d), rng.normal(1, 1, d), TB))
         trials.append(Trial(f"nb{i}", rng.normal(-1, 1, d), rng.normal(1, 1, d), NB))
         trials.append(Trial(f"sp{i}", rng.normal(1, 1, d), rng.normal(-1, 1, d), SP))
-    return trials
+    return TrialSet.from_trials(trials)
 
 
 class TestTrainStep:
@@ -212,7 +214,7 @@ class TestTrainStep:
         taus = SoftThresholds(0.2, -0.1)
         p = ASVSPOOF19_COST_PARAMS
         cm_scores = np.array([cm_fixed.forward(t.x_cm)[0] for t in trials])
-        labels = [t.label for t in trials]
+        classes = class_codes(t.label for t in trials)
 
         def loss(asv_scorer, tape):
             caches = []
@@ -222,7 +224,7 @@ class TestTrainStep:
                 asv_scores.append(score)
                 caches.append(cache)
             value, grads = soft_tdcf_from_arrays(
-                np.array(asv_scores), cm_scores, labels, taus, p
+                np.array(asv_scores), cm_scores, classes, taus, p
             )
             if tape is not None:
                 for c, g in zip(caches, grads.d_asv_scores):

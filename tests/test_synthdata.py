@@ -112,7 +112,7 @@ class TestGenerateWorld:
         seen = {a.attack_id for a in cfg.attacks if a.split is AttackSplit.SEEN}
         train_dev_attacks = {
             t.label.attack_id
-            for t in splits.train + splits.dev
+            for t in [*splits.train, *splits.dev]
             if t.label.attack_id
         }
         eval_attacks = {t.label.attack_id for t in splits.eval if t.label.attack_id}
@@ -190,7 +190,7 @@ class TestGenerateWorld:
         # the trial ids carry the split prefix, so no id can collide
         cfg = small_config()
         splits = generate_world(cfg)
-        ids = [t.id for t in splits.train + splits.dev + splits.eval]
+        ids = [*splits.train.ids, *splits.dev.ids, *splits.eval.ids]
         assert len(ids) == len(set(ids))
 
 
@@ -208,11 +208,10 @@ class TestPretrainPair:
         splits = generate_world(cfg)
         pre = PretrainConfig(seed=0, cm_lr=0.3, cm_max_epochs=300)
         pair = pretrain_pair(splits.train, pre)
-        from tandemopt.tandem_train import bce_batch, cm_bce_target
+        from tandemopt.tandem_train import bce_batch
 
-        loss, _ = bce_batch(
-            pair.cm.scorer, [(t.x_cm, cm_bce_target(t)) for t in splits.train]
-        )
+        targets = np.array([float(not t.label.is_spoof) for t in splits.train])
+        loss, _ = bce_batch(pair.cm.scorer, splits.train.x_cm, targets)
         assert loss < 0.01
 
     def test_deterministic_checkpoints(self):
@@ -225,7 +224,7 @@ class TestPretrainPair:
             assert all(np.array_equal(x, y) for x, y in zip(s1.weights, s2.weights))
 
     def test_cm_blind_to_asv_labels(self):
-        from tandemopt.types import Trial, TrialLabel
+        from tandemopt.types import Trial, TrialLabel, TrialSet
 
         cfg = small_config()
         splits = generate_world(cfg)
@@ -243,7 +242,7 @@ class TestPretrainPair:
                 flipped.append(t)
         pre = PretrainConfig(seed=1, asv_max_epochs=3, cm_max_epochs=3)
         a = pretrain_pair(splits.train, pre)
-        b = pretrain_pair(flipped, pre)
+        b = pretrain_pair(TrialSet.from_trials(flipped), pre)
         assert all(
             np.array_equal(x, y)
             for x, y in zip(a.cm.scorer.weights, b.cm.scorer.weights)

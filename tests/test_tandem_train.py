@@ -16,9 +16,8 @@ from tandemopt.tandem_train import (
     TrainConfig,
     TrainingDivergedError,
     _balanced_batch,
-    asv_bce_target,
+    _minibatches,
     bce_batch,
-    cm_bce_target,
     finetune_epoch,
     iterate_batches,
     label_pools,
@@ -41,6 +40,7 @@ from tandemopt.types import (
     TandemCostParams,
     Trial,
     TrialLabel,
+    TrialSet,
     class_codes,
 )
 
@@ -64,6 +64,10 @@ def toy_trials(rng, n_per_class=6, d=2):
         trials.append(Trial(f"nb{i}", rng.normal(-0.8, 1, d), rng.normal(0.8, 1, d), NB))
         trials.append(Trial(f"sp{i}", rng.normal(0.8, 1, d), rng.normal(-0.8, 1, d), SP))
     return trials
+
+
+def toy_set(rng, n_per_class=6, d=2):
+    return TrialSet.from_trials(toy_trials(rng, n_per_class, d))
 
 
 class TestSampleAction:
@@ -200,7 +204,7 @@ class TestReinforce:
         )
         pair = linear_pair([0.4, 0.1], 0.0, [0.3, -0.1], 0.0)
         rng = np.random.default_rng(5)
-        trials = toy_trials(rng, n_per_class=4)
+        trials = toy_set(rng, n_per_class=4)
         before = [w.copy() for w in pair.asv.scorer.weights + pair.cm.scorer.weights]
         cfg = TrainConfig(lr=0.5, batch_size=6, epochs=1, seed=5)
         reinforce_epoch(pair, trials, zero_costs, cfg, rng)
@@ -265,7 +269,7 @@ class TestReinforce:
         pair.asv.scorer.biases[0][0] = np.nan  # corrupt after construction
         t = Trial("tb0", np.array([1.0]), np.array([1.0]), TB)
         with pytest.raises(TrainingDivergedError):
-            reinforce_batch(pair, [t], PM1, np.random.default_rng(0))
+            reinforce_batch(pair, TrialSet.from_trials([t]), PM1, np.random.default_rng(0))
 
 
 def per_trial_reinforce(pair, batch, spec, rng, asv_calib_grad=None, cm_calib_grad=None):
@@ -308,7 +312,7 @@ class TestBatchedReinforceMatchesPerTrial:
         for spec in (PM1, TDCF1):
             batched_rng, ref_rng = np.random.default_rng(31), np.random.default_rng(31)
             for batch in (trials, trials[:5]):
-                reinforce_batch(pair, batch, spec, batched_rng)
+                reinforce_batch(pair, TrialSet.from_trials(batch), spec, batched_rng)
                 per_trial_reinforce(pair, batch, spec, ref_rng)
                 assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -330,7 +334,8 @@ class TestBatchedReinforceMatchesPerTrial:
             for seed in range(6):
                 calib = [np.zeros(2) for _ in range(4)]
                 surrogate, tape_asv, tape_cm = reinforce_batch(
-                    pair, trials, PM1, np.random.default_rng(seed), False, calib[0], calib[1]
+                    pair, TrialSet.from_trials(trials), PM1, np.random.default_rng(seed), False,
+                    calib[0], calib[1],
                 )
                 ref_calib = (calib[2], calib[3]) if pair is calibrated else (None, None)
                 ref, ref_asv, ref_cm, actions = per_trial_reinforce(
@@ -355,7 +360,7 @@ class TestScoreTrials:
             Trial(f"t{i}", rng.standard_normal(3), rng.standard_normal(2), TB)
             for i in range(SCORE_BLOCK_ROWS + 1)
         ]
-        scores = score_trials(pair, trials)
+        scores = score_trials(pair, TrialSet.from_trials(trials))
         assert [e.trial_id for e in scores] == [t.id for t in trials]
         for e, t in zip(scores, trials):
             assert e.asv_score == pytest.approx(pair.asv.scorer.forward(t.x_asv)[0], rel=1e-12)
@@ -385,19 +390,21 @@ class TestTrainConfig:
 
 class TestLabelPools:
     def test_tandem_classes_in_fixed_order_whatever_the_data_order(self):
-        trials = [
+        trials = TrialSet.from_trials(
             Trial(name, np.zeros(1), np.zeros(1), label)
             for name, label in [("sp0", SP), ("nb0", NB), ("sp1", SP), ("tb0", TB), ("nb1", NB)]
-        ]
+        )
         pools = label_pools(trials, "tandem_class")
-        assert [[t.id for t in pool] for pool in pools] == [["tb0"], ["nb0", "nb1"], ["sp0", "sp1"]]
+        assert [pool.tolist() for pool in pools] == [[3], [1, 4], [0, 2]]
+        assert [trials.take(pool).ids for pool in pools] == [("tb0",), ("nb0", "nb1"), ("sp0", "sp1")]
 
     def test_one_field_and_missing_values(self):
         trials = [Trial(f"t{i}", np.zeros(1), np.zeros(1), lab) for i, lab in enumerate([SP, NB, TB])]
-        by_asv = label_pools(trials, "asv_label")
-        assert [[t.id for t in pool] for pool in by_asv] == [["t0", "t2"], ["t1"]]
-        assert [[t.id for t in pool] for pool in label_pools(trials[1:], "cm_label")] == [["t1", "t2"]]
-        assert label_pools([], "cm_label") == []
+        by_asv = label_pools(TrialSet.from_trials(trials), "asv_label")
+        assert [pool.tolist() for pool in by_asv] == [[0, 2], [1]]
+        by_cm = label_pools(TrialSet.from_trials(trials[1:]), "cm_label")
+        assert [pool.tolist() for pool in by_cm] == [[0, 1]]
+        assert label_pools(TrialSet.from_trials([]), "cm_label") == []
 
 
 class TestBalancedSampling:
@@ -413,6 +420,7 @@ class TestBalancedSampling:
         cfg = TrainConfig(batch_size=64, seed=0)
         counts = {"tb": 0, "nb": 0, "sp": 0}
         total = 0
+        trials = TrialSet.from_trials(trials)
         for _ in range(4):  # several epochs to tighten the estimate
             for batch in iterate_batches(trials, cfg, rng):
                 for t in batch:
@@ -423,7 +431,7 @@ class TestBalancedSampling:
 
     def test_unbalanced_partitions_data(self):
         rng = np.random.default_rng(9)
-        trials = toy_trials(rng, n_per_class=10)
+        trials = toy_set(rng, n_per_class=10)
         cfg = TrainConfig(batch_size=8, balanced=False, seed=0)
         seen = []
         for batch in iterate_batches(trials, cfg, rng):
@@ -449,23 +457,39 @@ class TestFinetune:
         before = [w.copy() for w in pair.asv.scorer.weights + pair.cm.scorer.weights]
         cfg = TrainConfig(lr=0.01, batch_size=8, seed=0)
         losses = finetune_epoch(
-            pair, trials, cfg, np.random.default_rng(0), np.random.default_rng(1)
+            pair, TrialSet.from_trials(trials), cfg, np.random.default_rng(0), np.random.default_rng(1)
         )
         after = pair.asv.scorer.weights + pair.cm.scorer.weights
         assert max(losses) < 1e-10
         assert all(np.allclose(a, b, atol=1e-9) for a, b in zip(before, after))
 
+    def test_seen_ids_cover_both_systems_batches(self):
+        data = toy_set(np.random.default_rng(20), n_per_class=5)
+        cfg = TrainConfig(lr=0.01, batch_size=4, seed=0)
+        seen = set()
+        pair = linear_pair([0.5, 0.1], 0.0, [0.4, -0.1], 0.0)
+        finetune_epoch(pair, data, cfg, np.random.default_rng(1), np.random.default_rng(2), seen)
+        per_system = []
+        for field, seed in (("asv_label", 1), ("cm_label", 2)):
+            pools = label_pools(data, field)
+            batches = _minibatches(len(data), pools, cfg, np.random.default_rng(seed))
+            per_system.append({i for batch in batches for i in data.take(batch).ids})
+        assert per_system[0] != per_system[1]
+        assert seen == per_system[0] | per_system[1]
+
     def test_bce_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         examples = [(rng.normal(0, 1, 4), float(rng.integers(2))) for _ in range(12)]
+        x = np.stack([e[0] for e in examples])
+        y = np.array([e[1] for e in examples])
 
         def loss(scorer, tape):
             if tape is not None:
-                value, grads = bce_batch(scorer, examples)
+                value, grads = bce_batch(scorer, x, y)
                 grads_copy = grads
                 tape.add(grads_copy)
                 return value
-            return bce_batch(scorer, examples)[0]
+            return bce_batch(scorer, x, y)[0]
 
         scorer = Scorer.create([4, 5, 1], seed=13)
         assert finite_diff_check(scorer, loss) <= 1e-4
@@ -486,7 +510,9 @@ class TestFinetune:
 
         def run(data):
             pair = linear_pair([0.1, 0.1], 0.0, [0.1, 0.1], 0.0)
-            finetune_epoch(pair, data, cfg, np.random.default_rng(3), np.random.default_rng(4))
+            finetune_epoch(
+                pair, TrialSet.from_trials(data), cfg, np.random.default_rng(3), np.random.default_rng(4)
+            )
             return pair
 
         a = run(trials)
@@ -516,7 +542,9 @@ class TestFinetune:
 
         def run(data):
             pair = linear_pair([0.1, 0.1], 0.0, [0.1, 0.1], 0.0)
-            finetune_epoch(pair, data, cfg, np.random.default_rng(5), np.random.default_rng(6))
+            finetune_epoch(
+                pair, TrialSet.from_trials(data), cfg, np.random.default_rng(5), np.random.default_rng(6)
+            )
             return pair
 
         a = run(trials)
@@ -533,16 +561,18 @@ def two_pass_finetune_epoch(pair, data, cfg, rng_asv, rng_cm):
     n_batches = math.ceil(len(data) / cfg.batch_size)
     losses = {}
     for system, feature, target, field, rng in (
-        (pair.asv, lambda t: t.x_asv, asv_bce_target, "asv_label", rng_asv),
-        (pair.cm, lambda t: t.x_cm, cm_bce_target, "cm_label", rng_cm),
+        (pair.asv, lambda t: t.x_asv, lambda t: t.label.asv_label is AsvLabel.TARGET, "asv_label", rng_asv),
+        (pair.cm, lambda t: t.x_cm, lambda t: t.label.cm_label is CmLabel.BONAFIDE, "cm_label", rng_cm),
     ):
         labels = list(AsvLabel) if field == "asv_label" else list(CmLabel)
-        pools = [[t for t in data if getattr(t.label, field) is v] for v in labels]
-        pools = [pool for pool in pools if pool]
+        pools = [np.flatnonzero([getattr(t.label, field) is v for t in data]) for v in labels]
+        pools = [pool for pool in pools if pool.size]
         losses[field] = []
         for _ in range(n_batches):
-            batch = _balanced_batch(pools, cfg.batch_size, rng)
-            loss, tape = bce_batch(system.scorer, [(feature(t), target(t)) for t in batch])
+            batch = data.take(_balanced_batch(pools, cfg.batch_size, rng))
+            x = np.stack([feature(t) for t in batch])
+            y = np.array([float(target(t)) for t in batch])
+            loss, tape = bce_batch(system.scorer, x, y)
             system.scorer.sgd_step(tape, cfg.lr, Direction.DESCENT)
             losses[field].append(loss)
     return [(a + c) / 2.0 for a, c in zip(losses["asv_label"], losses["cm_label"])]
@@ -582,7 +612,7 @@ def hidden_pair(d=2):
 
 class TestEpochsMatchReference:
     def test_finetune_matches_two_pass_reference_bit_for_bit(self):
-        data = toy_trials(np.random.default_rng(40), n_per_class=9)
+        data = toy_set(np.random.default_rng(40), n_per_class=9)
         cfg = TrainConfig(lr=0.3, batch_size=5, seed=0)
         pair, ref = hidden_pair(), hidden_pair()
         for epoch in range(3):
@@ -605,7 +635,7 @@ class TestEpochsMatchReference:
         ],
     )
     def test_reinforce_extras_match_reference(self, flags):
-        data = toy_trials(np.random.default_rng(41), n_per_class=8)
+        data = toy_set(np.random.default_rng(41), n_per_class=8)
         cfg = TrainConfig(lr=0.2, batch_size=6, seed=0, **flags)
 
         def calibrated():
@@ -632,12 +662,12 @@ class TestEpochsMatchReference:
 
 def tiny_splits(rng):
     return Splits(
-        train=tuple(toy_trials(rng, n_per_class=10)),
-        dev=tuple(
+        train=toy_set(rng, n_per_class=10),
+        dev=TrialSet.from_trials(
             Trial(f"d_{t.id}", t.x_asv, t.x_cm, t.label)
             for t in toy_trials(rng, n_per_class=10)
         ),
-        eval=tuple(
+        eval=TrialSet.from_trials(
             Trial(f"e_{t.id}", t.x_asv, t.x_cm, t.label)
             for t in toy_trials(rng, n_per_class=10)
         ),

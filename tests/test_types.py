@@ -16,6 +16,7 @@ from tandemopt.types import (
     Trial,
     TrialClass,
     TrialLabel,
+    TrialSet,
     class_codes,
     read_features,
     read_protocol,
@@ -123,19 +124,95 @@ class TestCostParams:
         TandemCostParams(0.0, 0.0, 0.0, 0.5, 0.3, 0.2)
 
 
+TB = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
+NB = label(AsvLabel.NONTARGET, CmLabel.BONAFIDE)
+SP = label(AsvLabel.TARGET, CmLabel.SPOOF, "A01")
+
+
+def trial(trial_id, x_asv=(0.0, 0.0), x_cm=(0.0,), l=TB):
+    return Trial(trial_id, np.array(x_asv, dtype=float), np.array(x_cm, dtype=float), l)
+
+
 class TestTrial:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
-            Trial("t1", np.array([1.0, np.nan]), np.array([0.0]), label(AsvLabel.TARGET, CmLabel.BONAFIDE))
+            TrialSet.from_trials([trial("t1", x_asv=[1.0, np.nan])])
 
     def test_non_vector_rejected(self):
         with pytest.raises(ValueError, match="1-D"):
-            Trial("t1", np.zeros((2, 2)), np.zeros(2), label(AsvLabel.TARGET, CmLabel.BONAFIDE))
+            TrialSet.from_trials([Trial("t1", np.zeros((2, 2)), np.zeros(2), TB)])
 
     def test_arrays_frozen(self):
-        t = Trial("t1", np.zeros(2), np.zeros(2), label(AsvLabel.TARGET, CmLabel.BONAFIDE))
+        t = next(iter(TrialSet.from_trials([trial("t1")])))
         with pytest.raises(ValueError):
             t.x_asv[0] = 1.0
+
+
+class TestTrialSet:
+    def test_first_bad_trial_is_reported(self):
+        nan = np.nan
+        with pytest.raises(ValueError, match="non-finite features for trial 'b'"):
+            TrialSet.from_trials([trial("a"), trial("b", x_cm=[nan]), trial("a"), trial("c", [nan, 0])])
+        with pytest.raises(ValueError, match="duplicate trial_id 'a'"):
+            TrialSet.from_trials([trial("a"), trial("a", x_asv=[0, nan]), trial("b", x_cm=[nan])])
+        with pytest.raises(ValueError, match="duplicate trial_id 'b'"):
+            TrialSet.from_trials([trial("a"), trial("b"), trial("b"), trial("a")])
+        with pytest.raises(ValueError, match="x_asv of trial 'b' is not a 1-D vector as wide as the first"):
+            TrialSet.from_trials([trial("a"), trial("b", x_asv=[0, 0, 0]), trial("c", x_asv=[0])])
+        with pytest.raises(ValueError, match="x_cm of trial 'c' is not a 1-D vector"):
+            TrialSet.from_trials([trial("a"), trial("b"), trial("c", x_cm=[0, 0]), trial("d", x_cm=[])])
+
+    def test_columns_must_match(self):
+        with pytest.raises(ValueError, match="one length"):
+            TrialSet(("a", "b"), (TB, TB), np.zeros((2, 2)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="one length"):
+            TrialSet(("a",), (TB, TB), np.zeros((1, 2)), np.zeros((1, 2)))
+        with pytest.raises(ValueError, match="one length"):
+            TrialSet(("a", "b"), (TB, TB), np.zeros(2), np.zeros((2, 1)))
+
+    def test_columns(self):
+        given = [trial("a", [1, 2], [3], NB), trial("b", [4, 5], [6], SP), trial("c", [7, 8], [9], TB)]
+        ts = TrialSet.from_trials(given)
+        assert ts.ids == ("a", "b", "c") and ts.labels == (NB, SP, TB)
+        assert ts.x_asv.tolist() == [[1, 2], [4, 5], [7, 8]] and ts.x_cm.tolist() == [[3], [6], [9]]
+        assert ts.classes.tolist() == [1, 2, 0]
+        for column in (ts.x_asv, ts.x_cm, ts.classes):
+            assert column.flags.c_contiguous and not column.flags.writeable
+        assert ts.x_asv.dtype == ts.x_cm.dtype == np.float64
+        assert len(ts) == 3 and len(TrialSet.from_trials([])) == 0
+
+    def test_iteration_yields_the_trials_given(self):
+        rng = np.random.default_rng(0)
+        given = [
+            Trial(f"t{i}", rng.standard_normal(3), rng.standard_normal(2), l)
+            for i, l in enumerate([TB, NB, SP, SP, TB])
+        ]
+        ts = TrialSet.from_trials(given)
+        got = list(ts)
+        assert [(t.id, t.label) for t in got] == [(t.id, t.label) for t in given]
+        for a, b in zip(got, given):
+            assert a.x_asv.tobytes() == b.x_asv.tobytes() and a.x_cm.tobytes() == b.x_cm.tobytes()
+
+    def test_take_keeps_order_and_values(self):
+        given = [trial(f"t{i}", [i, -i], [10 * i], [TB, NB, SP][i % 3]) for i in range(6)]
+        ts = TrialSet.from_trials(given)
+        index = np.array([4, 0, 4, 5])  # any order, repeats allowed
+        part = ts.take(index)
+        assert part.ids == ("t4", "t0", "t4", "t5")
+        assert part.labels == tuple(given[i].label for i in index)
+        assert part.x_asv.tolist() == [[4, -4], [0, 0], [4, -4], [5, -5]]
+        assert part.x_cm.tolist() == [[40], [0], [40], [50]]
+        assert part.classes.tolist() == [1, 0, 1, 2]
+        assert not part.x_asv.flags.writeable and not part.classes.flags.writeable
+        assert ts.take(np.array([0, 2, 3])) == TrialSet.from_trials([given[0], given[2], given[3]])
+        assert len(ts.take(np.array([], dtype=np.intp))) == 0
+
+    def test_value_equality(self):
+        ts = TrialSet.from_trials([trial("a", [1, 2], [3])])
+        assert ts == TrialSet(["a"], [TB], [[1.0, 2.0]], [[3.0]])
+        assert ts != TrialSet.from_trials([trial("a", [1, 2], [4])])
+        assert ts != TrialSet.from_trials([trial("a", [1, 2], [3], NB)])
+        assert ts != "a"
 
 
 class TestErrorRates:
@@ -261,7 +338,7 @@ class TestTextFormats:
         ]
         labels = {t.id: t.label for t in trials}
         path = tmp_path / "f.txt"
-        write_features(path, trials)
+        write_features(path, TrialSet.from_trials(trials))
         loaded = read_features(path, labels, d_asv=3, d_cm=2)
         for a, b in zip(trials, loaded):
             assert np.array_equal(a.x_asv, b.x_asv)
@@ -270,20 +347,56 @@ class TestTextFormats:
     @pytest.mark.parametrize("lines, message", [([0, 2], "first 't1'"), ([0, 1, 1, 2], "duplicate")])
     def test_features_must_cover_protocol_once(self, tmp_path, lines, message):
         l = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
-        trials = [Trial(f"t{i}", np.zeros(3), np.zeros(2), l) for i in range(3)]
         path = tmp_path / "f.txt"
-        write_features(path, [trials[i] for i in lines])
+        # A trial set holds each trial once, so the repeated line is written by hand.
+        path.write_text("".join(f"t{i} 0 0 0 0 0\n" for i in lines))
         with pytest.raises(ValueError, match=message) as err:
-            read_features(path, {t.id: l for t in trials}, d_asv=3, d_cm=2)
+            read_features(path, {f"t{i}": l for i in range(3)}, d_asv=3, d_cm=2)
         assert str(path) in str(err.value)
 
     def test_features_dimension_mismatch(self, tmp_path):
         l = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
         t = Trial("t0", np.zeros(3), np.zeros(2), l)
         path = tmp_path / "f.txt"
-        write_features(path, [t])
+        write_features(path, TrialSet.from_trials([t]))
         with pytest.raises(ValueError, match="expected"):
             read_features(path, {"t0": l}, d_asv=4, d_cm=2)
+
+
+    @pytest.mark.parametrize(
+        "kind, bad_line, message",
+        [
+            ("protocol", "t1 tgt bonafide -", "'tgt' is not a valid AsvLabel"),
+            ("protocol", "t1 target bonafid -", "'bonafid' is not a valid CmLabel"),
+            ("protocol", "t1 nontarget spoof A01", "spoof trials must claim the target speaker"),
+            ("protocol", "t1 target bonafide A01", "bonafide trial cannot carry an attack_id"),
+            ("features", "t1 0 abc 0 0 0", "could not convert string to float: 'abc'"),
+            ("features", "t1 0 0 0 0 nan", "non-finite features for trial 't1'"),
+            ("features", "t1 0 0 -inf 0 0", "non-finite features for trial 't1'"),
+            ("features", "t0 0 0 0 0 0", "duplicate trial_id 't0'"),
+            ("scores", "t1 abc 0", "could not convert string to float: 'abc'"),
+            ("scores", "t1 0 inf", "non-finite score for trial 't1'"),
+            ("scores", "t0 0 0", "duplicate trial_id 't0'"),
+        ],
+    )
+    def test_malformed_line_is_named(self, tmp_path, kind, bad_line, message):
+        labels = {"t0": TB, "t1": TB, "t2": NB}
+        good = {
+            "protocol": "{} target bonafide -",
+            "features": "{} 0 0 0 0 0",
+            "scores": "{} 0 0",
+        }[kind]
+        path = tmp_path / f"{kind}.txt"
+        # The bad line is line 3, after a blank line; the lines around it are good.
+        path.write_text("\n".join([good.format("t0"), "", bad_line, good.format("t2")]) + "\n")
+        read = {
+            "protocol": lambda: read_protocol(path),
+            "features": lambda: read_features(path, labels, d_asv=3, d_cm=2),
+            "scores": lambda: read_scores(path, labels),
+        }[kind]
+        with pytest.raises(ValueError) as err:
+            read()
+        assert str(err.value) == f"{path}:3: {message}"
 
 
 LABELS = st.sampled_from(
@@ -314,3 +427,40 @@ class TestScoreSetProperties:
         write_scores(path, s)
         assert read_scores(path, {trial_id: l for trial_id, l, _, _ in rows}) == s
         assert s.classes.tolist() == [l.tandem_class for _, l, _, _ in rows]
+
+
+TRIAL_IDS = st.text("abcxyz019_", min_size=1, max_size=6)
+FEATURES = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def trial_sets(draw):
+    """A trial set built from its columns, so that an empty one has widths too."""
+    ids = draw(st.lists(TRIAL_IDS, max_size=20, unique=True))
+    d_asv, d_cm = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+
+    def matrix(width):
+        values = draw(st.lists(FEATURES, min_size=len(ids) * width, max_size=len(ids) * width))
+        return np.array(values, dtype=np.float64).reshape(len(ids), width)
+
+    labels = [draw(LABELS) for _ in ids]
+    return d_asv, d_cm, TrialSet(ids, labels, matrix(d_asv), matrix(d_cm))
+
+
+class TestTrialSetProperties:
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(drawn=trial_sets())
+    def test_protocol_and_features_round_trip(self, tmp_path_factory, drawn):
+        d_asv, d_cm, ts = drawn
+        if len(ts):  # an empty list of trials has no widths to rebuild
+            assert TrialSet.from_trials(ts) == ts
+        folder = tmp_path_factory.mktemp("trials")
+        write_protocol(folder / "p.txt", zip(ts.ids, ts.labels))
+        write_features(folder / "f.txt", ts)
+        loaded = read_features(folder / "f.txt", read_protocol(folder / "p.txt"), d_asv, d_cm)
+        assert loaded == ts
+        assert (loaded.ids, loaded.labels) == (ts.ids, ts.labels)
+        assert loaded.classes.tolist() == ts.classes.tolist()
+        for name in ("x_asv", "x_cm"):
+            got, want = getattr(loaded, name), getattr(ts, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
