@@ -45,6 +45,7 @@ from .types import (
     TandemCostParams,
     TrialClass,
     TrialSet,
+    atomic_write,
     read_features,
     read_protocol,
     write_features,
@@ -65,7 +66,7 @@ class CliError(Exception):
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 

@@ -9,6 +9,7 @@ from typing import Sequence
 import numpy as np
 
 from .metrics import MetricReport
+from .types import atomic_write
 
 
 def _fmt(value: float | None) -> str:
@@ -74,7 +75,7 @@ class RunRecord:
         return self.reports[split][max(self.reports[split])]
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_write(path) as fh:
             fh.write(TELEMETRY_HEADER + "\n")
             for row in self.rows:
                 fh.write(row.to_csv_line() + "\n")
@@ -196,7 +197,7 @@ def write_table_csv(path, rows: Sequence[dict]) -> None:
     if not rows:
         raise ValueError("nothing to write")
     headers = list(rows[0].keys())
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(headers) + "\n")
         for row in rows:
             fh.write(

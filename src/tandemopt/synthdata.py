@@ -35,7 +35,7 @@ from .tandem_train import (
     TrainConfig,
     bce_epoch,
     bce_inputs,
-    label_pools,
+    class_pools,
 )
 from .types import AsvLabel, CmLabel, TrialLabel, TrialSet
 
@@ -337,7 +337,7 @@ def _pretrain_scorer(
         raise RuntimeError("pretraining diverged before the first epoch")
     stalled = 0
     for _ in range(max_epochs):
-        bce_epoch(scorer, trials, pools, system, cfg, rng)
+        bce_epoch(scorer, x, y, pools, cfg, rng)
         cur = _dataset_bce(scorer, x, y)
         if not math.isfinite(cur):
             raise RuntimeError("pretraining diverged (non-finite loss)")
@@ -365,9 +365,9 @@ def pretrain_pair(train: TrialSet, pre: PretrainConfig) -> PolicyPair:
     rng_asv = np.random.default_rng(children[0])
     rng_cm = np.random.default_rng(children[1])
 
-    cm_pools = label_pools(train, "cm_label")
+    cm_pools = class_pools(train.classes, "cm")
     bona = train.take(cm_pools[0] if len(cm_pools) == 2 else np.empty(0, dtype=np.intp))
-    asv_pools = label_pools(bona, "asv_label")
+    asv_pools = class_pools(bona.classes, "asv")
     if len(asv_pools) < 2:
         raise ValueError("pretraining needs every class present in the train split")
 

@@ -9,7 +9,12 @@ an index array taken from a TrialSet: one matrix forward per system, with
 targets and rewards looked up by batch.classes.
 
 One training run owns its RNG streams and is strictly sequential, so a fixed
-seed reproduces the run bit for bit.
+seed reproduces the run bit for bit. The class pools are built once per run
+from the class codes. A balanced batch of B items reads 2*B words of the
+generator's 32-bit stream in one bulk draw: the words per-item
+rng.integers(len(pools)) and rng.integers(len(pool)) calls would read. It
+falls back to those scalar calls in three cases: a single pool, any pool of
+one row, and a word that numpy's bounded draw would reject.
 """
 
 from __future__ import annotations
@@ -253,20 +258,47 @@ def reward(spec: RewardSpec, a_tandem: Decision, label: TrialLabel) -> float:
 # Minibatch sampling and the batch loop
 # ---------------------------------------------------------------------------
 
-def label_pools(data: TrialSet, attribute: str) -> list[np.ndarray]:
-    """The row indices of data's trials grouped by one enum-valued TrialLabel
-    attribute (asv_label, cm_label or tandem_class): one index array per
-    value present, ascending within a pool, and the pools in the enum's
-    declaration order."""
-    pools: dict[Enum, list[int]] = {}
-    for i, label in enumerate(data.labels):
-        pools.setdefault(getattr(label, attribute), []).append(i)
-    order = sorted(pools, key=lambda m: list(type(m)).index(m))
-    return [np.array(pools[m], dtype=np.intp) for m in order]
+def class_pools(classes: np.ndarray, system: str | None = None) -> list[np.ndarray]:
+    """The rows of a set with these TrialClass codes, grouped for balanced
+    sampling: by class in code order or, given a system ("asv" or "cm"), by
+    its cross-entropy target, the target (ASV) or bonafide (CM) pool first.
+    Rows ascend within a pool; empty pools are dropped."""
+    if system is None:
+        keys, groups = classes, range(len(TrialClass))
+    else:
+        keys, groups = BCE_TARGETS[system][classes], (1.0, 0.0)
+    pools = (np.flatnonzero(keys == group) for group in groups)
+    return [pool for pool in pools if pool.size]
+
+
+def lemire_rejects(words: np.ndarray, bounds: np.ndarray | int) -> bool:
+    """Whether numpy's bounded integers(bound) would reject any of these
+    32-bit words and draw again: Lemire's method rejects a word when the low
+    half of word * bound is below (2**32 - bound) % bound."""
+    bounds = np.asarray(bounds, dtype=np.uint64)
+    return bool((((words * bounds) & 0xFFFFFFFF) < (2**32 - bounds) % bounds).any())
 
 
 def _balanced_batch(pools: list[np.ndarray], size: int, rng: np.random.Generator) -> np.ndarray:
-    """Sample row indices with replacement, picking the class uniformly per item."""
+    """Sample row indices with replacement, picking the class uniformly per
+    item: per item, rng.integers(len(pools)) picks the pool, then
+    rng.integers(len(pool)) the row.
+
+    numpy draws each of those from one word of the generator's 32-bit stream
+    (Lemire's bounded method), so one bulk draw of 2 * size words gives the
+    same rows and leaves the same generator state. The per-item loop remains
+    for what the bulk draw does not reproduce: a single pool or a pool of one
+    row (integers(1) reads no word), and a rejected word (read again)."""
+    sizes = np.array([len(pool) for pool in pools], dtype=np.uint64)
+    if len(pools) > 1 and sizes.min() > 1:
+        state = rng.bit_generator.state
+        words = rng.integers(0, 2**32, size=(size, 2), dtype=np.uint64)
+        picked = (words[:, 0] * len(pools)) >> 32
+        bounds = sizes[picked]
+        if not (lemire_rejects(words[:, 0], len(pools)) or lemire_rejects(words[:, 1], bounds)):
+            starts = np.cumsum(sizes) - sizes
+            return np.concatenate(pools)[starts[picked] + ((words[:, 1] * bounds) >> 32)]
+        rng.bit_generator.state = state
     batch = np.empty(size, dtype=np.intp)
     for k in range(size):
         pool = pools[int(rng.integers(len(pools)))]
@@ -290,10 +322,18 @@ def _minibatches(
             yield order[i * cfg.batch_size : (i + 1) * cfg.batch_size]
 
 
-def iterate_batches(data: TrialSet, cfg: TrainConfig, rng: np.random.Generator):
+def iterate_batches(
+    data: TrialSet,
+    cfg: TrainConfig,
+    rng: np.random.Generator,
+    pools: list[np.ndarray] | None = None,
+):
     """One epoch of the tandem methods' minibatches; balanced sampling picks
-    target-bonafide, nontarget-bonafide and spoof trials equally often."""
-    return map(data.take, _minibatches(len(data), label_pools(data, "tandem_class"), cfg, rng))
+    target-bonafide, nontarget-bonafide and spoof trials equally often.
+    pools are data's class_pools, built here when not given."""
+    if pools is None:
+        pools = class_pools(data.classes)
+    return map(data.take, _minibatches(len(data), pools, cfg, rng))
 
 
 def train_epoch(
@@ -364,10 +404,12 @@ def reinforce_epoch(
     cfg: TrainConfig,
     rng: np.random.Generator,
     seen_ids: set[str] | None = None,
+    pools: list[np.ndarray] | None = None,
 ) -> list[float]:
     """One epoch of REINFORCE: per minibatch, one gradient-ascent step of
     size cfg.lr on both policies (and on the calibration heads when
-    cfg.train_calibration). Returns per-batch surrogate values."""
+    cfg.train_calibration). Returns per-batch surrogate values. pools are
+    data's class_pools, built per epoch when not given."""
 
     def step(batch: TrialSet) -> float:
         asv_cal = np.zeros(2) if cfg.train_calibration else None
@@ -386,7 +428,7 @@ def reinforce_epoch(
                     )
         return surrogate
 
-    return train_epoch(zip(iterate_batches(data, cfg, rng)), step, seen_ids)
+    return train_epoch(zip(iterate_batches(data, cfg, rng, pools)), step, seen_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -426,18 +468,22 @@ def bce_step(scorer: Scorer, batch: TrialSet, system: str, lr: float) -> float:
 
 def bce_epoch(
     scorer: Scorer,
-    data: TrialSet,
+    x: np.ndarray,
+    y: np.ndarray,
     pools: list[np.ndarray],
-    system: str,
     cfg: TrainConfig,
     rng: np.random.Generator,
 ) -> list[float]:
-    """One epoch of descent on one system's cross-entropy over data,
-    balanced over its class pools when cfg.balanced."""
-    return train_epoch(
-        zip(map(data.take, _minibatches(len(data), pools, cfg, rng))),
-        lambda batch: bce_step(scorer, batch, system, cfg.lr),
-    )
+    """One epoch of descent on the cross-entropy of the rows of x against
+    the targets y (see bce_inputs), balanced over the class pools of those
+    rows when cfg.balanced."""
+
+    def step(rows: np.ndarray) -> float:
+        loss, tape = bce_batch(scorer, x[rows], y[rows])
+        scorer.sgd_step(tape, cfg.lr, Direction.DESCENT)
+        return loss
+
+    return train_epoch(zip(_minibatches(len(y), pools, cfg, rng)), step)
 
 
 def finetune_epoch(
@@ -447,12 +493,14 @@ def finetune_epoch(
     rng_asv: np.random.Generator,
     rng_cm: np.random.Generator,
     seen_ids: set[str] | None = None,
+    pools: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> list[float]:
     """One epoch of the no-tandem baseline: each scorer descends its own
     binary cross-entropy against its own label. Each system samples from
     pools keyed by its own label with its own RNG stream, so neither system
     is influenced by the other's labels, and taking their steps in turn
-    gives the same result as one whole pass per system.
+    gives the same result as one whole pass per system. pools are data's
+    ASV and CM class_pools, built per epoch when not given.
 
     Returns per-batch means of the two task losses.
     """
@@ -462,9 +510,10 @@ def finetune_epoch(
         cm_loss = bce_step(pair.cm.scorer, cm_batch, "cm", cfg.lr)
         return (asv_loss + cm_loss) / 2.0
 
+    asv_pools, cm_pools = pools or (class_pools(data.classes, "asv"), class_pools(data.classes, "cm"))
     batches = zip(
-        map(data.take, _minibatches(len(data), label_pools(data, "asv_label"), cfg, rng_asv)),
-        map(data.take, _minibatches(len(data), label_pools(data, "cm_label"), cfg, rng_cm)),
+        map(data.take, _minibatches(len(data), asv_pools, cfg, rng_asv)),
+        map(data.take, _minibatches(len(data), cm_pools, cfg, rng_cm)),
     )
     return train_epoch(batches, step, seen_ids)
 
@@ -477,11 +526,8 @@ def finetune_epoch(
 def score_trials(pair: PolicyPair, trials: TrialSet) -> ScoreSet:
     """Raw scorer outputs for every trial (calibration is monotone and does
     not change threshold-swept metrics, so metrics always use raw scores)."""
-    return ScoreSet(
-        trials.ids,
-        trials.labels,
-        pair.asv.scorer.score_rows(trials.x_asv),
-        pair.cm.scorer.score_rows(trials.x_cm),
+    return ScoreSet.of_trials(
+        trials, pair.asv.scorer.score_rows(trials.x_asv), pair.cm.scorer.score_rows(trials.x_cm)
     )
 
 
@@ -577,11 +623,14 @@ def run_method(
     dev_classes = evaluate(epoch=0)
     rng = np.random.default_rng(cfg.seed)
     taus: SoftThresholds | None = None
+    # The dev split's sampling pools, built once for the run.
+    pools = class_pools(splits.dev.classes)
     if method is Method.FINETUNE:
         rng_asv, rng_cm = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(2))
+        system_pools = (class_pools(splits.dev.classes, "asv"), class_pools(splits.dev.classes, "cm"))
 
         def train(seen_ids: set[str]) -> list[float]:
-            return finetune_epoch(pair, splits.dev, cfg, rng_asv, rng_cm, seen_ids)
+            return finetune_epoch(pair, splits.dev, cfg, rng_asv, rng_cm, seen_ids, system_pools)
 
     elif method is Method.SOFT_TDCF:
         # Start the surrogate at the evaluation operating point: the hard EER
@@ -605,14 +654,14 @@ def run_method(
             )
 
         def train(seen_ids: set[str]) -> list[float]:
-            return train_epoch(zip(iterate_batches(splits.dev, cfg, rng)), soft_step, seen_ids)
+            return train_epoch(zip(iterate_batches(splits.dev, cfg, rng, pools)), soft_step, seen_ids)
 
     else:
         kind = _REWARD_BY_METHOD[method]
         spec = RewardSpec(kind, p if kind is RewardKind.TDCF_SINGLE else None)
 
         def train(seen_ids: set[str]) -> list[float]:
-            return reinforce_epoch(pair, splits.dev, spec, cfg, rng, seen_ids)
+            return reinforce_epoch(pair, splits.dev, spec, cfg, rng, seen_ids, pools)
 
     for epoch in range(1, cfg.epochs + 1):
         for loss in train(record.trained_trial_ids):

@@ -13,12 +13,14 @@ interchange surface used by the data generator, the trainers, and the CLI.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
 
@@ -223,7 +225,14 @@ def check_rows(ids: Sequence[str], finite: np.ndarray, what: str) -> None:
             if trial_id in seen:
                 raise RowError(f"duplicate trial_id {trial_id!r}", i)
             seen.add(trial_id)
-    if first < len(ids):
+    check_finite(ids, finite, what)
+
+
+def check_finite(ids: Sequence[str], finite: np.ndarray, what: str) -> None:
+    """Raise RowError for the first row whose values (what) are not all
+    finite (finite: one bool per row)."""
+    if not finite.all():
+        first = int(np.argmin(finite))
         raise RowError(f"non-finite {what} for trial {ids[first]!r}", first)
 
 
@@ -262,7 +271,7 @@ class _RowSet:
         if index.dtype == bool:
             index = np.flatnonzero(index)
         rows = index.tolist()
-        part = object.__new__(type(self))
+        columns = {}
         for name in (self.ID, "labels", *self.VALUES, "classes"):
             column = getattr(self, name)
             if isinstance(column, tuple):
@@ -270,6 +279,14 @@ class _RowSet:
             else:
                 column = column[index]
                 column.setflags(write=False)
+            columns[name] = column
+        return self._unchecked(**columns)
+
+    @classmethod
+    def _unchecked(cls, **columns):
+        """A set of these (already checked) columns, as they are."""
+        part = object.__new__(cls)
+        for name, column in columns.items():
             object.__setattr__(part, name, column)
         return part
 
@@ -346,6 +363,19 @@ class ScoreSet(_RowSet):
     def from_rows(cls, rows: Iterable[tuple[str, TrialLabel, float, float]]) -> "ScoreSet":
         return cls(*(tuple(zip(*rows)) or ((), (), (), ())))
 
+    @classmethod
+    def of_trials(cls, trials: TrialSet, asv: np.ndarray, cm: np.ndarray) -> "ScoreSet":
+        """The scores of a trial set's trials, in its order. The set's id,
+        label and class columns are shared, not re-checked; only the two
+        score columns are (one finite score each per trial)."""
+        asv, cm = _frozen_array(asv), _frozen_array(cm)
+        if asv.shape != (len(trials),) or cm.shape != (len(trials),):
+            raise ValueError("ScoreSet columns must be 1-D and of one length")
+        check_finite(trials.ids, np.isfinite(asv) & np.isfinite(cm), cls.WHAT)
+        return cls._unchecked(
+            trial_ids=trials.ids, labels=trials.labels, asv=asv, cm=cm, classes=trials.classes
+        )
+
     select = _RowSet.take  # the name filter_attacks uses, with a bool mask
 
     def class_split(self) -> ClassScores:
@@ -366,8 +396,26 @@ class ScoreSet(_RowSet):
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def atomic_write(path) -> Iterator[TextIO]:
+    """A text file open for writing that takes path's place only once the
+    block completes: it is a temporary file in path's directory, renamed over
+    path by os.replace, or removed if the block raises. So a failed write
+    leaves path as it was and no partial file behind."""
+    head, tail = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def write_protocol(path, labels: Iterable[tuple[str, TrialLabel]]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for trial_id, label in labels:
             attack = label.attack_id if label.attack_id is not None else "-"
             fh.write(f"{trial_id} {label.asv_label.value} {label.cm_label.value} {attack}\n")
@@ -398,7 +446,7 @@ def read_protocol(path) -> dict[str, TrialLabel]:
 
 def _write_rows(path, ids: Sequence[str], values: np.ndarray) -> None:
     """One 'trial_id value...' line per row, values printed exactly."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for trial_id, row in zip(ids, values.tolist()):
             fh.write(f"{trial_id} {' '.join(map(FLOAT_FORMAT.format, row))}\n")
 

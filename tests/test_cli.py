@@ -45,6 +45,8 @@ class TestGenData:
         manifest = json.loads((data / "manifest.json").read_text())
         assert sorted(manifest["files"]) == manifest["files"]
         assert manifest["config"]["seed"] == 3
+        # Outputs are written through temporary files; none is left behind.
+        assert sorted(p.name for p in data.iterdir()) == sorted(manifest["files"] + ["manifest.json"])
 
     def test_same_seed_byte_identical(self, workspace, tmp_path):
         root, config, data, _ = workspace

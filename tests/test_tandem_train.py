@@ -4,8 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from tandemopt import tandem_train
 from tandemopt.calibration import Calibrator, sigmoid
 from tandemopt.nn import SCORE_BLOCK_ROWS, Activation, Direction, Scorer, finite_diff_check
+from tandemopt.synthdata import default_world_config, generate_world
 from tandemopt.tandem_train import (
     Method,
     Policy,
@@ -18,9 +20,10 @@ from tandemopt.tandem_train import (
     _balanced_batch,
     _minibatches,
     bce_batch,
+    class_pools,
     finetune_epoch,
     iterate_batches,
-    label_pools,
+    lemire_rejects,
     policy_accept_probability,
     policy_backward,
     reinforce_batch,
@@ -39,6 +42,7 @@ from tandemopt.types import (
     Decision,
     TandemCostParams,
     Trial,
+    TrialClass,
     TrialLabel,
     TrialSet,
     class_codes,
@@ -360,8 +364,10 @@ class TestScoreTrials:
             Trial(f"t{i}", rng.standard_normal(3), rng.standard_normal(2), TB)
             for i in range(SCORE_BLOCK_ROWS + 1)
         ]
-        scores = score_trials(pair, TrialSet.from_trials(trials))
+        trial_set = TrialSet.from_trials(trials)
+        scores = score_trials(pair, trial_set)
         assert [e.trial_id for e in scores] == [t.id for t in trials]
+        assert scores.classes is trial_set.classes
         for e, t in zip(scores, trials):
             assert e.asv_score == pytest.approx(pair.asv.scorer.forward(t.x_asv)[0], rel=1e-12)
             assert e.cm_score == pytest.approx(pair.cm.scorer.forward(t.x_cm)[0], rel=1e-12)
@@ -388,23 +394,123 @@ class TestTrainConfig:
         ]
 
 
+def label_pools(data, attribute):
+    """The pools as built from label objects: the rows grouped by one enum
+    TrialLabel attribute, in the enum's declaration order (the reference
+    for class_pools)."""
+    pools = {}
+    for i, label in enumerate(data.labels):
+        pools.setdefault(getattr(label, attribute), []).append(i)
+    order = sorted(pools, key=lambda m: list(type(m)).index(m))
+    return [np.array(pools[m], dtype=np.intp) for m in order]
+
+
+def loop_balanced_batch(pools, size, rng):
+    """The balanced batch as per-item scalar draws: the class, then the row
+    (the reference for _balanced_batch, in indices and generator state)."""
+    batch = np.empty(size, dtype=np.intp)
+    for k in range(size):
+        pool = pools[int(rng.integers(len(pools)))]
+        batch[k] = pool[int(rng.integers(len(pool)))]
+    return batch
+
+
 class TestLabelPools:
     def test_tandem_classes_in_fixed_order_whatever_the_data_order(self):
         trials = TrialSet.from_trials(
             Trial(name, np.zeros(1), np.zeros(1), label)
             for name, label in [("sp0", SP), ("nb0", NB), ("sp1", SP), ("tb0", TB), ("nb1", NB)]
         )
-        pools = label_pools(trials, "tandem_class")
+        pools = class_pools(trials.classes)
         assert [pool.tolist() for pool in pools] == [[3], [1, 4], [0, 2]]
         assert [trials.take(pool).ids for pool in pools] == [("tb0",), ("nb0", "nb1"), ("sp0", "sp1")]
 
     def test_one_field_and_missing_values(self):
         trials = [Trial(f"t{i}", np.zeros(1), np.zeros(1), lab) for i, lab in enumerate([SP, NB, TB])]
-        by_asv = label_pools(TrialSet.from_trials(trials), "asv_label")
+        by_asv = class_pools(TrialSet.from_trials(trials).classes, "asv")
         assert [pool.tolist() for pool in by_asv] == [[0, 2], [1]]
-        by_cm = label_pools(TrialSet.from_trials(trials[1:]), "cm_label")
+        by_cm = class_pools(TrialSet.from_trials(trials[1:]).classes, "cm")
         assert [pool.tolist() for pool in by_cm] == [[0, 1]]
-        assert label_pools(TrialSet.from_trials([]), "cm_label") == []
+        assert class_pools(TrialSet.from_trials([]).classes, "cm") == []
+
+    def test_equal_to_label_pools_on_a_generated_world(self):
+        splits = generate_world(default_world_config(seed=5))
+        bona = splits.train.take(splits.train.classes != TrialClass.SPOOF)
+        for data in (splits.train, splits.dev, splits.eval, bona):
+            for system, attribute in ((None, "tandem_class"), ("asv", "asv_label"), ("cm", "cm_label")):
+                got, want = class_pools(data.classes, system), label_pools(data, attribute)
+                assert len(got) == len(want) > 0
+                assert all(g.dtype == np.intp and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+class TestBalancedBatchDrawExact:
+    @pytest.mark.parametrize("sizes", [[1], [2], [700], [1, 2], [2, 2], [2, 700], [1, 700, 3],
+                                       [3, 700, 5], [500, 200, 800], [2, 1, 2]])
+    @pytest.mark.parametrize("half_used", [False, True])
+    def test_equal_to_scalar_loop_in_rows_and_state(self, sizes, half_used):
+        offsets = np.cumsum([0] + sizes)
+        pools = [np.arange(a, b, dtype=np.intp) * 3 + 1 for a, b in zip(offsets, offsets[1:])]
+        for seed in range(25):
+            rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+            if half_used:  # leaves the second half of a 64-bit output buffered
+                rng.integers(5), ref.integers(5)
+            for size in (1, 7, 64):
+                got = _balanced_batch(pools, size, rng)
+                want = loop_balanced_batch(pools, size, ref)
+                assert got.dtype == np.intp and np.array_equal(got, want)
+                assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_rejection_check(self):
+        # integers(3) rejects a word whose low half of word * 3 is below
+        # 2**32 % 3 == 1: only word 0. A power of two never rejects.
+        assert lemire_rejects(np.array([5, 0], dtype=np.uint64), 3)
+        assert not lemire_rejects(np.array([5, 1, 2**32 - 1], dtype=np.uint64), 3)
+        assert not lemire_rejects(np.array([0, 0], dtype=np.uint64), 4)
+        # integers(700) rejects below 2**32 % 700 == 396; the word after
+        # 2**32 // 700 wraps to a low half of 304.
+        wrapped = 2**32 // 700 + 1
+        assert 2**32 % 700 == 396 and wrapped * 700 % 2**32 == 304
+        assert lemire_rejects(np.array([1, wrapped], dtype=np.uint64), np.array([3, 700]))
+        assert not lemire_rejects(np.array([1, 1], dtype=np.uint64), np.array([3, 700]))
+        assert not lemire_rejects(np.array([wrapped, 1], dtype=np.uint64), np.array([3, 700]))
+
+    @pytest.mark.parametrize("n_pools", [2, 3])
+    def test_rejected_word_falls_back_to_the_loop(self, n_pools):
+        # A buffered word of 0 is the next word drawn: the first class draw
+        # reads it, and integers(3) rejects it, so the bulk draw must be undone.
+        pools = [np.arange(10 * c, 10 * c + 4, dtype=np.intp) for c in range(n_pools)]
+        rng, ref = np.random.default_rng(3), np.random.default_rng(3)
+        state = rng.bit_generator.state
+        state.update(has_uint32=1, uinteger=0)
+        rng.bit_generator.state = ref.bit_generator.state = state
+        assert lemire_rejects(rng.integers(0, 2**32, size=1, dtype=np.uint64), n_pools) is (n_pools == 3)
+        rng.bit_generator.state = state
+        got = _balanced_batch(pools, 64, rng)
+        assert np.array_equal(got, loop_balanced_batch(pools, 64, ref))
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("rejected", [1, 2])
+    def test_forced_rejection_restores_the_state(self, monkeypatch, rejected):
+        # The check rejects the class words (call 1) or the row words (call 2).
+        pools = [np.arange(0, 5, dtype=np.intp), np.arange(5, 12, dtype=np.intp), np.arange(12, 15, dtype=np.intp)]
+        calls = []
+
+        def rejects(words, bounds):
+            calls.append(np.broadcast_to(bounds, words.shape).tolist())
+            return len(calls) == rejected
+
+        monkeypatch.setattr(tandem_train, "lemire_rejects", rejects)
+        rng, ref = np.random.default_rng(4), np.random.default_rng(4)
+        got = _balanced_batch(pools, 16, rng)
+        want = loop_balanced_batch(pools, 16, ref)
+        assert np.array_equal(got, want)
+        assert rng.bit_generator.state == ref.bit_generator.state
+        # Each word is checked against its own draw's bound: a class word
+        # against the number of pools, a row word against its pool's size.
+        assert len(calls) == rejected
+        assert calls[0] == [3] * 16
+        if rejected == 2:
+            assert calls[1] == [len(next(p for p in pools if row in p)) for row in want]
 
 
 class TestBalancedSampling:

@@ -10,6 +10,7 @@ from tandemopt.types import (
     CmLabel,
     Decision,
     ErrorRates,
+    RowError,
     ScoreEntry,
     ScoreSet,
     TandemCostParams,
@@ -17,6 +18,7 @@ from tandemopt.types import (
     TrialClass,
     TrialLabel,
     TrialSet,
+    atomic_write,
     class_codes,
     read_features,
     read_protocol,
@@ -286,6 +288,27 @@ class TestScoreSet:
         assert s != ScoreSet.from_rows([("b", l, 1.0, 2.0)])
         assert s != "a"
 
+    def test_of_trials_shares_the_trial_columns(self):
+        labels = [TB, NB, label(AsvLabel.TARGET, CmLabel.SPOOF, "A01"), NB]
+        trials = TrialSet.from_trials(trial(f"t{i}", l=l) for i, l in enumerate(labels))
+        s = ScoreSet.of_trials(trials, np.arange(4.0), -np.arange(4.0))
+        assert s.trial_ids is trials.ids and s.labels is trials.labels
+        assert s.classes.tolist() == class_codes(labels).tolist() == [0, 1, 2, 1]
+        assert s == ScoreSet.from_rows(zip(trials.ids, labels, range(4), (-x for x in range(4))))
+        with pytest.raises(ValueError):
+            s.asv[0] = 1.0
+        with pytest.raises(ValueError, match="one length"):
+            ScoreSet.of_trials(trials, np.zeros(4), np.zeros(3))
+
+    def test_of_trials_names_the_first_non_finite_score(self):
+        trials = TrialSet.from_trials(trial(f"t{i}") for i in range(4))
+        cm = np.array([0.0, 0.0, np.inf, 0.0])
+        with pytest.raises(RowError, match="non-finite score for trial 't1'") as err:
+            ScoreSet.of_trials(trials, np.array([0.0, np.nan, 0.0, np.nan]), cm)
+        assert err.value.row == 1
+        with pytest.raises(RowError, match="non-finite score for trial 't2'"):
+            ScoreSet.of_trials(trials, np.zeros(4), cm)
+
     def test_class_split(self):
         rows = [
             ("a", label(AsvLabel.TARGET, CmLabel.BONAFIDE), 1.0, 2.0),
@@ -397,6 +420,33 @@ class TestTextFormats:
         with pytest.raises(ValueError) as err:
             read()
         assert str(err.value) == f"{path}:3: {message}"
+
+
+class TestAtomicWrite:
+    def test_replaces_the_file_only_on_success(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old\n")
+        with atomic_write(path) as fh:
+            fh.write("new\n")
+            assert path.read_text() == "old\n"
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    @pytest.mark.parametrize("existing", [True, False])
+    def test_failed_write_leaves_no_trace(self, tmp_path, existing):
+        path = tmp_path / "protocol.txt"
+        if existing:
+            path.write_text("old\n")
+
+        def labels():
+            yield "t0", TB
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            write_protocol(path, labels())
+        assert [p.name for p in tmp_path.iterdir()] == (["protocol.txt"] if existing else [])
+        if existing:
+            assert path.read_text() == "old\n"
 
 
 LABELS = st.sampled_from(
