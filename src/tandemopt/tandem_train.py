@@ -9,8 +9,8 @@ an index array taken from a TrialSet: one matrix forward per system, with
 targets and rewards looked up by batch.classes.
 
 One training run owns its RNG streams and is strictly sequential, so a fixed
-seed reproduces the run bit for bit. The class pools are built once per run
-from the class codes. A balanced batch of B items reads 2*B words of the
+seed reproduces the run bit for bit. The class pools are built from the
+class codes once per epoch. A balanced batch of B items reads 2*B words of the
 generator's 32-bit stream in one bulk draw: the words per-item
 rng.integers(len(pools)) and rng.integers(len(pool)) calls would read. It
 falls back to those scalar calls in three cases: a single pool, any pool of
@@ -322,18 +322,10 @@ def _minibatches(
             yield order[i * cfg.batch_size : (i + 1) * cfg.batch_size]
 
 
-def iterate_batches(
-    data: TrialSet,
-    cfg: TrainConfig,
-    rng: np.random.Generator,
-    pools: list[np.ndarray] | None = None,
-):
+def iterate_batches(data: TrialSet, cfg: TrainConfig, rng: np.random.Generator):
     """One epoch of the tandem methods' minibatches; balanced sampling picks
-    target-bonafide, nontarget-bonafide and spoof trials equally often.
-    pools are data's class_pools, built here when not given."""
-    if pools is None:
-        pools = class_pools(data.classes)
-    return map(data.take, _minibatches(len(data), pools, cfg, rng))
+    target-bonafide, nontarget-bonafide and spoof trials equally often."""
+    return map(data.take, _minibatches(len(data), class_pools(data.classes), cfg, rng))
 
 
 def train_epoch(
@@ -404,12 +396,10 @@ def reinforce_epoch(
     cfg: TrainConfig,
     rng: np.random.Generator,
     seen_ids: set[str] | None = None,
-    pools: list[np.ndarray] | None = None,
 ) -> list[float]:
     """One epoch of REINFORCE: per minibatch, one gradient-ascent step of
     size cfg.lr on both policies (and on the calibration heads when
-    cfg.train_calibration). Returns per-batch surrogate values. pools are
-    data's class_pools, built per epoch when not given."""
+    cfg.train_calibration). Returns per-batch surrogate values."""
 
     def step(batch: TrialSet) -> float:
         asv_cal = np.zeros(2) if cfg.train_calibration else None
@@ -428,7 +418,7 @@ def reinforce_epoch(
                     )
         return surrogate
 
-    return train_epoch(zip(iterate_batches(data, cfg, rng, pools)), step, seen_ids)
+    return train_epoch(zip(iterate_batches(data, cfg, rng)), step, seen_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -493,14 +483,12 @@ def finetune_epoch(
     rng_asv: np.random.Generator,
     rng_cm: np.random.Generator,
     seen_ids: set[str] | None = None,
-    pools: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> list[float]:
     """One epoch of the no-tandem baseline: each scorer descends its own
     binary cross-entropy against its own label. Each system samples from
     pools keyed by its own label with its own RNG stream, so neither system
     is influenced by the other's labels, and taking their steps in turn
-    gives the same result as one whole pass per system. pools are data's
-    ASV and CM class_pools, built per epoch when not given.
+    gives the same result as one whole pass per system.
 
     Returns per-batch means of the two task losses.
     """
@@ -510,10 +498,9 @@ def finetune_epoch(
         cm_loss = bce_step(pair.cm.scorer, cm_batch, "cm", cfg.lr)
         return (asv_loss + cm_loss) / 2.0
 
-    asv_pools, cm_pools = pools or (class_pools(data.classes, "asv"), class_pools(data.classes, "cm"))
     batches = zip(
-        map(data.take, _minibatches(len(data), asv_pools, cfg, rng_asv)),
-        map(data.take, _minibatches(len(data), cm_pools, cfg, rng_cm)),
+        map(data.take, _minibatches(len(data), class_pools(data.classes, "asv"), cfg, rng_asv)),
+        map(data.take, _minibatches(len(data), class_pools(data.classes, "cm"), cfg, rng_cm)),
     )
     return train_epoch(batches, step, seen_ids)
 
@@ -623,14 +610,11 @@ def run_method(
     dev_classes = evaluate(epoch=0)
     rng = np.random.default_rng(cfg.seed)
     taus: SoftThresholds | None = None
-    # The dev split's sampling pools, built once for the run.
-    pools = class_pools(splits.dev.classes)
     if method is Method.FINETUNE:
         rng_asv, rng_cm = map(np.random.default_rng, np.random.SeedSequence(cfg.seed).spawn(2))
-        system_pools = (class_pools(splits.dev.classes, "asv"), class_pools(splits.dev.classes, "cm"))
 
         def train(seen_ids: set[str]) -> list[float]:
-            return finetune_epoch(pair, splits.dev, cfg, rng_asv, rng_cm, seen_ids, system_pools)
+            return finetune_epoch(pair, splits.dev, cfg, rng_asv, rng_cm, seen_ids)
 
     elif method is Method.SOFT_TDCF:
         # Start the surrogate at the evaluation operating point: the hard EER
@@ -654,14 +638,14 @@ def run_method(
             )
 
         def train(seen_ids: set[str]) -> list[float]:
-            return train_epoch(zip(iterate_batches(splits.dev, cfg, rng, pools)), soft_step, seen_ids)
+            return train_epoch(zip(iterate_batches(splits.dev, cfg, rng)), soft_step, seen_ids)
 
     else:
         kind = _REWARD_BY_METHOD[method]
         spec = RewardSpec(kind, p if kind is RewardKind.TDCF_SINGLE else None)
 
         def train(seen_ids: set[str]) -> list[float]:
-            return reinforce_epoch(pair, splits.dev, spec, cfg, rng, seen_ids, pools)
+            return reinforce_epoch(pair, splits.dev, spec, cfg, rng, seen_ids)
 
     for epoch in range(1, cfg.epochs + 1):
         for loss in train(record.trained_trial_ids):

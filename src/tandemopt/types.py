@@ -400,8 +400,9 @@ class ScoreSet(_RowSet):
 def atomic_write(path) -> Iterator[TextIO]:
     """A text file open for writing that takes path's place only once the
     block completes: it is a temporary file in path's directory, renamed over
-    path by os.replace, or removed if the block raises. So a failed write
-    leaves path as it was and no partial file behind."""
+    path by os.replace, or removed if the block raises. So a write that
+    fails inside the process leaves path as it was and no partial file
+    behind. The file is not fsynced, so a machine crash is not covered."""
     head, tail = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
     try:
