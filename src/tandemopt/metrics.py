@@ -7,11 +7,18 @@ Conventions used throughout:
     scores plus one sentinel below the minimum and one above the maximum,
     which covers every achievable operating point exactly;
   * ties between equally good thresholds resolve to the smallest one.
+
+An EER is found by search, not by a sweep over every candidate: p_miss -
+p_fa never falls as the threshold rises, so on ascending score arrays only
+the few candidates around its sign change are evaluated, with the sweep's
+own arithmetic, and the result is the sweep's bit for bit. The metrics of a
+ScoreSet read its ClassScores, which sorts each class's scores once.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field, fields
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -37,13 +44,6 @@ def _split_pairs(scores: ScorePairs) -> tuple[np.ndarray, np.ndarray]:
     return pos, neg
 
 
-def candidate_thresholds(values: np.ndarray) -> np.ndarray:
-    """Midpoints between consecutive distinct scores plus two sentinels."""
-    distinct = np.unique(np.asarray(values, dtype=np.float64))
-    mids = (distinct[:-1] + distinct[1:]) / 2.0
-    return np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
-
-
 def hard_rates(scores: ScorePairs, tau: Threshold) -> tuple[float, float]:
     """Empirical miss and false-accept rates at a fixed threshold.
 
@@ -56,30 +56,142 @@ def hard_rates(scores: ScorePairs, tau: Threshold) -> tuple[float, float]:
     return p_miss, p_fa
 
 
-def _sweep_rates(
-    pos: np.ndarray, neg: np.ndarray, taus: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized (p_miss, p_fa) at each threshold via sorted cumulative counts."""
-    pos_sorted = np.sort(pos)
-    neg_sorted = np.sort(neg)
-    n_rejected_pos = np.searchsorted(pos_sorted, taus, side="right")
-    n_rejected_neg = np.searchsorted(neg_sorted, taus, side="right")
-    p_miss = n_rejected_pos / pos.size
-    p_fa = (neg.size - n_rejected_neg) / neg.size
+def _thresholds(distinct: np.ndarray) -> np.ndarray:
+    """The candidate thresholds of ascending distinct scores: the midpoints of
+    consecutive ones between a sentinel 1 below the first and 1 above the last."""
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    return np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
+
+
+def _distinct(ascending: np.ndarray) -> np.ndarray:
+    """The distinct values of an ascending array."""
+    return ascending[np.concatenate(([True], ascending[1:] != ascending[:-1]))]
+
+
+def _at_or_below(values: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """How many values lie at or below each threshold that _thresholds made:
+    values.searchsorted(taus, side="right"), found by placing each value
+    among the midpoints (which never decrease: one that overflows is -inf
+    at the start or +inf at the end) rather than each of the many
+    thresholds among the values. The two sentinels are searched directly."""
+    mids = taus[1:-1]
+    counts = np.empty(taus.size, dtype=np.intp)
+    counts[1:-1] = np.cumsum(np.bincount(mids.searchsorted(values), minlength=mids.size + 1))[:-1]
+    counts[[0, -1]] = values.searchsorted(taus[[0, -1]], side="right")
+    return counts
+
+
+def _rates(pos: np.ndarray, neg: np.ndarray, taus) -> tuple[np.ndarray, np.ndarray]:
+    """(p_miss, p_fa) at each threshold, from ascending pos and neg: the share
+    of pos at or below it and the share of neg above it."""
+    p_miss = pos.searchsorted(taus, side="right") / pos.size
+    p_fa = (neg.size - neg.searchsorted(taus, side="right")) / neg.size
     return p_miss, p_fa
 
 
-def eer_arrays(pos: np.ndarray, neg: np.ndarray) -> tuple[float, float, float, float]:
-    """EER over raw arrays; returns (eer, tau, p_miss, p_fa) at the chosen point."""
-    taus = candidate_thresholds(np.concatenate([pos, neg]))
-    p_miss, p_fa = _sweep_rates(pos, neg, taus)
-    idx = int(np.argmin(np.abs(p_miss - p_fa)))  # first occurrence = smallest tau
-    return (
-        float((p_miss[idx] + p_fa[idx]) / 2.0),
-        float(taus[idx]),
-        float(p_miss[idx]),
-        float(p_fa[idx]),
+def _crossing(pos: np.ndarray, neg: np.ndarray) -> float:
+    """The lowest score t of ascending pos and neg with p_miss(t) >= p_fa(t).
+
+    p_miss - p_fa never falls as t rises and is >= 0 at the top score of
+    either class. It is found at every k-th score of the smaller class
+    (k about the square root of its size), then at every score of the
+    bracketing block. Between the two scores of the smaller class that
+    bracket the sign change only the larger class's count moves, so that
+    slice of the larger class is resolved from counts alone.
+    """
+    small_is_pos = pos.size <= neg.size
+    small, large = (pos, neg) if small_is_pos else (neg, pos)
+    lo, hi = 0, small.size - 1  # the first index of small with d >= 0 is in [lo, hi]
+    for step in (max(1, isqrt(small.size)), 1):
+        probes = np.append(np.arange(lo + step - 1, hi, step), hi)
+        c = int(np.subtract(*_rates(pos, neg, small[probes])).searchsorted(0.0))
+        lo, hi = (probes[c - 1] + 1 if c else lo), probes[c]
+    j = int(hi)
+    start = int(large.searchsorted(small[j - 1], side="right")) if j else 0
+    stop = int(large.searchsorted(small[j]))
+    counts = np.arange(start + 1, stop + 1)  # of large up to each of large[start:stop]
+    if small_is_pos:
+        d = j / pos.size - (neg.size - counts) / neg.size
+    else:
+        d = counts / pos.size - (neg.size - j) / neg.size
+    q = int(d.searchsorted(0.0))
+    return large[start + q] if q < stop - start else small[j]
+
+
+def _neighbour(pos: np.ndarray, neg: np.ndarray, t, above: bool):
+    """The nearest score of ascending pos or neg above (or below) t, or None."""
+    found = []
+    for x in (pos, neg):
+        k = int(x.searchsorted(t, side="right" if above else "left"))
+        if above and k < x.size:
+            found.append(x[k])
+        elif not above and k:
+            found.append(x[k - 1])
+    return (min if above else max)(found) if found else None
+
+
+def _sweep_part(pos: np.ndarray, neg: np.ndarray, part: np.ndarray) -> tuple[bool, tuple]:
+    """The sweep over some of the candidate thresholds of ascending pos and
+    neg: the lower sentinel, the midpoints between the scores in part (a run
+    of consecutive distinct scores of pos and neg) and, if part reaches the
+    top score, the upper sentinel. Returns whether the first lowest
+    |p_miss - p_fa| among them is the whole sweep's, and (eer, tau, p_miss,
+    p_fa) there.
+
+    d = p_miss - p_fa never falls from one candidate to the next, except
+    that a midpoint which overflows to -inf (or +inf) reads -1 (or +1), and
+    so never beats the lower sentinel, which comes first. So the candidates
+    left out below the part cannot win or tie when the part's first one has
+    d < 0 and is farther from zero than the best (or the best is the lower
+    sentinel), and those left out above it cannot win when its last one has
+    d >= 0.
+    """
+    lowest, highest = min(pos[0], neg[0]), max(pos[-1], neg[-1])
+    taus = _thresholds(part)
+    taus[0] = lowest - 1.0
+    reaches_top = part[-1] == highest
+    if not reaches_top:
+        taus = taus[:-1]
+    p_miss, p_fa = _rates(pos, neg, taus)
+    d = p_miss - p_fa
+    gap = np.abs(d)
+    k = int(np.argmin(gap))  # first occurrence = smallest tau
+    exact = (part[0] == lowest or (d[1] < 0.0 and (k == 0 or gap[1] > gap[k]))) and (
+        reaches_top or d[-1] >= 0.0
     )
+    return exact, (
+        float((p_miss[k] + p_fa[k]) / 2.0),
+        float(taus[k]),
+        float(p_miss[k]),
+        float(p_fa[k]),
+    )
+
+
+def _eer_sorted(pos: np.ndarray, neg: np.ndarray) -> tuple[float, float, float, float]:
+    """eer_arrays of ascending pos and neg. Only the candidates around the
+    crossing are evaluated: those between the two distinct scores below it
+    and the one above it. Where that part cannot show the sweep's answer (a
+    midpoint at its edge that rounds onto a score or overflows), every
+    candidate is."""
+    t = _crossing(pos, neg)
+    below = _neighbour(pos, neg, t, above=False)
+    below2 = None if below is None else _neighbour(pos, neg, below, above=False)
+    above = _neighbour(pos, neg, t, above=True)
+    part = np.array([s for s in (below2, below, t, above) if s is not None])
+    exact, result = _sweep_part(pos, neg, part)
+    return result if exact else _sweep_part(pos, neg, np.union1d(pos, neg))[1]
+
+
+def eer_arrays(pos: np.ndarray, neg: np.ndarray) -> tuple[float, float, float, float]:
+    """EER over raw arrays; returns (eer, tau, p_miss, p_fa) at the chosen point:
+    the candidate threshold with the lowest |p_miss - p_fa|, the smallest one
+    on ties. The arrays are sorted and searched, not swept."""
+    pos, neg = (np.sort(np.asarray(x, dtype=np.float64)) for x in (pos, neg))
+    if pos.size == 0:
+        raise MissingClassError("no positive scores")
+    if neg.size == 0:
+        raise MissingClassError("no negative scores")
+    return _eer_sorted(pos, neg)
 
 
 def eer(scores: ScorePairs) -> tuple[float, Threshold]:
@@ -138,8 +250,13 @@ def min_norm_tdcf(
     """ASV-constrained minimum normalized tandem cost.
 
     The ASV threshold is fixed at its EER point on target vs nontarget
-    bonafide trials (spoof trials excluded from that sweep); the CM threshold
-    then sweeps every candidate. By convention the normalizer is the cost of
+    bonafide trials (spoof trials excluded from that search); the CM threshold
+    then sweeps every candidate. That ASV threshold is the midpoint of the
+    gap at the ASV EER crossing, and a spoof ASV score inside that gap sides
+    with it by value, not by rank: so the minimum is unchanged by an affine
+    increasing map of the ASV scores (and by any increasing map of the CM
+    scores), but not by every increasing map of the ASV scores. By
+    convention the normalizer is the cost of
     the best trivial CM gate (accept-all or reject-all) at that ASV operating
     point, so a value of 1.0 means no swept threshold beats a trivial gate;
     pass an explicit normalizer to override the convention. If the normalizer
@@ -150,24 +267,20 @@ def min_norm_tdcf(
     """
     cs = scores.class_split()
     cs.require_all_classes()
-    _, tau_asv, _, _ = eer_arrays(cs.tb_asv, cs.nb_asv)
+    _, tau_asv, _, _ = _eer_sorted(cs.tb_asv_sorted, cs.nb_asv_sorted)
 
     n_tb, n_nb, n_sp = cs.tb_cm.size, cs.nb_cm.size, cs.sp_cm.size
-    tb_asv_rej = cs.tb_asv <= tau_asv
-    nb_asv_acc = cs.nb_asv > tau_asv
-    sp_asv_acc = cs.sp_asv > tau_asv
+    taus = _thresholds(_distinct(np.sort(np.concatenate([cs.bona_cm, cs.sp_cm]))))
 
-    taus = candidate_thresholds(np.concatenate([cs.tb_cm, cs.nb_cm, cs.sp_cm]))
-
-    # All four rates are counts of cm > tau within fixed subsets.
-    tb_all_sorted = np.sort(cs.tb_cm)
-    tb_rej_sorted = np.sort(cs.tb_cm[tb_asv_rej])
-    nb_acc_sorted = np.sort(cs.nb_cm[nb_asv_acc])
-    sp_acc_sorted = np.sort(cs.sp_cm[sp_asv_acc])
-    p_d = np.searchsorted(tb_all_sorted, taus, side="right") / n_tb
-    p_a = (tb_rej_sorted.size - np.searchsorted(tb_rej_sorted, taus, side="right")) / n_tb
-    p_b = (nb_acc_sorted.size - np.searchsorted(nb_acc_sorted, taus, side="right")) / n_nb
-    p_c = (sp_acc_sorted.size - np.searchsorted(sp_acc_sorted, taus, side="right")) / n_sp
+    # All four rates are counts of cm > tau within fixed subsets. Each class's
+    # pairs are in CM order, so the subsets are too.
+    tb_rej = cs.tb_cm[cs.tb_asv <= tau_asv]
+    nb_acc = cs.nb_cm[cs.nb_asv > tau_asv]
+    sp_acc = cs.sp_cm[cs.sp_asv > tau_asv]
+    p_d = _at_or_below(cs.tb_cm, taus) / n_tb
+    p_a = (tb_rej.size - _at_or_below(tb_rej, taus)) / n_tb
+    p_b = (nb_acc.size - _at_or_below(nb_acc, taus)) / n_nb
+    p_c = (sp_acc.size - _at_or_below(sp_acc, taus)) / n_sp
 
     w_tar, w_non, w_spoof = p.class_weights
     costs = w_tar * (p_a + p_d) + w_non * p_b + w_spoof * p_c
@@ -193,33 +306,32 @@ def per_attack_breakdown(
     cs = scores.class_split()
     if cs.tb_cm.size == 0:
         raise MissingClassError("missing target-bonafide class")
-    bona_cm = np.concatenate([cs.tb_cm, cs.nb_cm])
-    attacks = sorted(set(cs.sp_attacks))
-    sp_attacks = np.asarray(cs.sp_attacks, dtype=object)
     cm_eers: dict[str, float] = {}
     asv_eers: dict[str, float] = {}
-    for attack in attacks:
-        mask = sp_attacks == attack
-        cm_eers[attack] = eer_arrays(bona_cm, cs.sp_cm[mask])[0]
-        asv_eers[attack] = eer_arrays(cs.tb_asv, cs.sp_asv[mask])[0]
+    for attack, _, sp_cm, sp_asv in cs.by_attack():
+        cm_eers[attack] = _eer_sorted(cs.bona_cm, sp_cm)[0]
+        asv_eers[attack] = _eer_sorted(cs.tb_asv_sorted, sp_asv)[0]
     return cm_eers, asv_eers
 
 
 def cross_task_eer(scores: ScoreSet) -> float:
     """EER of the ASV score on the CM task (bonafide vs spoof labels)."""
     cs = scores.class_split()
-    bona_asv = np.concatenate([cs.tb_asv, cs.nb_asv])
-    if bona_asv.size == 0:
+    if cs.bona_asv.size == 0:
         raise MissingClassError("missing bonafide class")
     if cs.sp_asv.size == 0:
         raise MissingClassError("missing spoof class")
-    return eer_arrays(bona_asv, cs.sp_asv)[0]
+    return _eer_sorted(cs.bona_asv, cs.sp_asv_sorted)[0]
 
 
 def filter_attacks(scores: ScoreSet, excluded: set[str]) -> ScoreSet:
-    """Drop all trials whose attack tag is excluded; bonafide trials pass through."""
-    keep = [label.attack_id not in excluded for label in scores.labels]
-    return scores.select(np.asarray(keep, dtype=bool))
+    """Drop all trials whose attack tag is excluded; bonafide trials pass
+    through, and the rest keep their order."""
+    keep = np.ones(len(scores), dtype=bool)
+    for attack, rows, _, _ in scores.class_split().by_attack():
+        if attack in excluded:
+            keep[rows] = False
+    return scores.select(keep)
 
 
 @dataclass(frozen=True)
@@ -253,10 +365,8 @@ def compute_metric_report(scores: ScoreSet, p: TandemCostParams) -> MetricReport
     operating point."""
     cs = scores.class_split()
     cs.require_all_classes()
-    asv_eer_value = eer_arrays(cs.tb_asv, cs.nb_asv)[0]
-    cm_eer_value = eer_arrays(
-        np.concatenate([cs.tb_cm, cs.nb_cm]), cs.sp_cm
-    )[0]
+    asv_eer_value = _eer_sorted(cs.tb_asv_sorted, cs.nb_asv_sorted)[0]
+    cm_eer_value = _eer_sorted(cs.bona_cm, cs.sp_cm)[0]
     value, tau_cm_star, tau_asv = min_norm_tdcf(scores, p)
     rates = tandem_error_rates(scores, tau_asv, tau_cm_star)
     cm_eers, asv_eers = per_attack_breakdown(scores)

@@ -620,10 +620,9 @@ def run_method(
         # Start the surrogate at the evaluation operating point: the hard EER
         # thresholds of the pretrained systems on the tandem-training data
         # (epoch 0's dev scores, whose report already required every class).
-        bona_cm = np.concatenate([dev_classes.tb_cm, dev_classes.nb_cm])
         taus = SoftThresholds(
-            tau_asv=eer_arrays(dev_classes.tb_asv, dev_classes.nb_asv)[1],
-            tau_cm=eer_arrays(bona_cm, dev_classes.sp_cm)[1],
+            tau_asv=eer_arrays(dev_classes.tb_asv_sorted, dev_classes.nb_asv_sorted)[1],
+            tau_cm=eer_arrays(dev_classes.bona_cm, dev_classes.sp_cm)[1],
         )
 
         def soft_step(batch: TrialSet) -> float | None:

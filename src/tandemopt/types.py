@@ -19,7 +19,6 @@ import os
 from dataclasses import dataclass, field
 from enum import Enum, IntEnum
 from functools import cached_property
-from itertools import compress
 from typing import Iterable, Iterator, Sequence, TextIO
 
 import numpy as np
@@ -202,7 +201,11 @@ class ScoreEntry:
 
 def _frozen_array(values, dtype=np.float64) -> np.ndarray:
     """A read-only C-contiguous copy of values."""
-    arr = np.array(values, dtype=dtype, order="C")
+    return _read_only(np.array(values, dtype=dtype, order="C"))
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only in place."""
     arr.setflags(write=False)
     return arr
 
@@ -325,21 +328,69 @@ class TrialSet(_RowSet):
 
 
 class ClassScores:
-    """Per-class score arrays of a ScoreSet (target-bonafide, nontarget-bonafide,
-    spoof) in trial order, plus the spoof attack tags aligned with the spoof
-    arrays. Read-only: a ScoreSet hands the same ClassScores to every caller."""
+    """Per-class score arrays of a ScoreSet, each sorted once. Read-only: a
+    ScoreSet hands the same ClassScores to every caller.
+
+    tb_cm, nb_cm and sp_cm hold each class's CM scores in ascending order, and
+    tb_asv, nb_asv and sp_asv the ASV scores of the same trials in the same
+    order, so every (asv, cm) pair stays aligned and a mask on one score
+    selects pairs. tb_asv_sorted, nb_asv_sorted and sp_asv_sorted hold each
+    class's ASV scores in ascending order, and bona_cm and bona_asv the scores
+    of both bonafide classes merged, ascending.
+
+    The spoofs are grouped by attack: attacks holds the attack tags in sorted
+    order, and group i spans attack_bounds[i]:attack_bounds[i + 1] of
+    attack_rows (the ScoreSet rows of its spoofs), attack_cm and attack_asv
+    (their CM and ASV scores, each ascending within the group).
+    """
 
     def __init__(self, scores: "ScoreSet"):
-        tb, nb, sp = (scores.classes == c for c in TrialClass)
-        self.tb_asv, self.tb_cm, self.nb_asv, self.nb_cm, self.sp_asv, self.sp_cm = (
-            _frozen_array(column[mask]) for mask in (tb, nb, sp) for column in (scores.asv, scores.cm)
+        def pairs(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+            # Ties in CM score keep no particular order; no count depends on it.
+            by_cm = rows[np.argsort(scores.cm[rows])]
+            return _read_only(scores.asv[by_cm]), _read_only(scores.cm[by_cm])
+
+        tb, nb, sp = (np.flatnonzero(scores.classes == c) for c in TrialClass)
+        (self.tb_asv, self.tb_cm), (self.nb_asv, self.nb_cm), (self.sp_asv, self.sp_cm) = (
+            map(pairs, (tb, nb, sp))
         )
-        self.sp_attacks = tuple(label.attack_id for label in compress(scores.labels, sp.tolist()))
+        self.tb_asv_sorted, self.nb_asv_sorted, self.sp_asv_sorted = (
+            _read_only(np.sort(asv)) for asv in (self.tb_asv, self.nb_asv, self.sp_asv)
+        )
+        self.bona_cm = _read_only(np.sort(np.concatenate([self.tb_cm, self.nb_cm])))
+        self.bona_asv = _read_only(
+            np.sort(np.concatenate([self.tb_asv_sorted, self.nb_asv_sorted]))
+        )
+
+        tags = [scores.labels[row].attack_id for row in sp.tolist()]
+        self.attacks = tuple(sorted(set(tags)))
+        code = {attack: i for i, attack in enumerate(self.attacks)}
+        # The smallest code type, which numpy's stable sort orders by radix.
+        codes = np.fromiter(
+            map(code.__getitem__, tags), dtype=np.min_scalar_type(len(code)), count=len(tags)
+        )
+        bounds = np.concatenate(([0], np.cumsum(np.bincount(codes, minlength=len(code)))))
+        self.attack_bounds = _read_only(bounds)
+        self.attack_rows = _read_only(sp[np.argsort(codes, kind="stable")])
+        self.attack_cm, self.attack_asv = scores.cm[self.attack_rows], scores.asv[self.attack_rows]
+        for start, stop in zip(bounds.tolist(), bounds[1:].tolist()):
+            self.attack_cm[start:stop].sort()
+            self.attack_asv[start:stop].sort()
+        _read_only(self.attack_cm)
+        _read_only(self.attack_asv)
 
     def require_all_classes(self) -> None:
         for c, asv in zip(TrialClass, (self.tb_asv, self.nb_asv, self.sp_asv)):
             if asv.size == 0:
                 raise MissingClassError(f"missing {c.name.lower().replace('_', '-')} class")
+
+    def by_attack(self) -> Iterator[tuple[str, np.ndarray, np.ndarray, np.ndarray]]:
+        """(attack, its spoofs' ScoreSet rows, their CM scores, their ASV
+        scores) for each attack in sorted order; the scores ascending."""
+        bounds = self.attack_bounds.tolist()
+        for attack, start, stop in zip(self.attacks, bounds, bounds[1:]):
+            part = slice(start, stop)
+            yield attack, self.attack_rows[part], self.attack_cm[part], self.attack_asv[part]
 
 
 @dataclass(frozen=True, eq=False)

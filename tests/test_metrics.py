@@ -5,11 +5,11 @@ from hypothesis import strategies as st
 
 from tandemopt.metrics import (
     MetricReport,
-    candidate_thresholds,
     compute_metric_report,
     cross_task_eer,
     dcf,
     eer,
+    eer_arrays,
     filter_attacks,
     hard_rates,
     min_norm_tdcf,
@@ -130,6 +130,84 @@ def oracle_min_norm_tdcf(scores, p):
         if best is None or value < best[0]:
             best = (value, tau)
     return best[0], best[1], tau_asv
+
+
+# ---------------------------------------------------------------------------
+# The sweep metrics ran before it searched: every candidate threshold
+# evaluated, each class re-sorted on every call. The search must equal it bit
+# for bit, so it is kept here as the oracle, arithmetic and all.
+# ---------------------------------------------------------------------------
+
+
+def sweep_candidates(values):
+    """Midpoints between consecutive distinct scores plus two sentinels."""
+    distinct = np.unique(np.asarray(values, dtype=np.float64))
+    mids = (distinct[:-1] + distinct[1:]) / 2.0
+    return np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
+
+
+def sweep_rates(pos, neg, taus):
+    """Vectorized (p_miss, p_fa) at each threshold via sorted cumulative counts."""
+    n_rejected_pos = np.searchsorted(np.sort(pos), taus, side="right")
+    n_rejected_neg = np.searchsorted(np.sort(neg), taus, side="right")
+    return n_rejected_pos / pos.size, (neg.size - n_rejected_neg) / neg.size
+
+
+def sweep_eer(pos, neg):
+    pos, neg = np.asarray(pos, dtype=np.float64), np.asarray(neg, dtype=np.float64)
+    taus = sweep_candidates(np.concatenate([pos, neg]))
+    p_miss, p_fa = sweep_rates(pos, neg, taus)
+    idx = int(np.argmin(np.abs(p_miss - p_fa)))  # first occurrence = smallest tau
+    return (
+        float((p_miss[idx] + p_fa[idx]) / 2.0),
+        float(taus[idx]),
+        float(p_miss[idx]),
+        float(p_fa[idx]),
+    )
+
+
+def class_columns(scores):
+    """(asv, cm) arrays of each class, in trial order."""
+    def columns(is_class):
+        entries = [e for e in scores if is_class(e.label)]
+        return np.array([e.asv_score for e in entries]), np.array([e.cm_score for e in entries])
+
+    return (
+        columns(lambda label: label.is_target_bonafide),
+        columns(lambda label: label.is_nontarget_bonafide),
+        columns(lambda label: label.is_spoof),
+    )
+
+
+def sweep_min_norm_tdcf(scores, p):
+    (tb_asv, tb_cm), (nb_asv, nb_cm), (sp_asv, sp_cm) = class_columns(scores)
+    tau_asv = sweep_eer(tb_asv, nb_asv)[1]
+    taus = sweep_candidates(np.concatenate([tb_cm, nb_cm, sp_cm]))
+    tb_rej = np.sort(tb_cm[tb_asv <= tau_asv])
+    nb_acc = np.sort(nb_cm[nb_asv > tau_asv])
+    sp_acc = np.sort(sp_cm[sp_asv > tau_asv])
+    p_d = np.searchsorted(np.sort(tb_cm), taus, side="right") / tb_cm.size
+    p_a = (tb_rej.size - np.searchsorted(tb_rej, taus, side="right")) / tb_cm.size
+    p_b = (nb_acc.size - np.searchsorted(nb_acc, taus, side="right")) / nb_cm.size
+    p_c = (sp_acc.size - np.searchsorted(sp_acc, taus, side="right")) / sp_cm.size
+    w_tar, w_non, w_spoof = p.class_weights
+    costs = w_tar * (p_a + p_d) + w_non * p_b + w_spoof * p_c
+    normalizer = min(costs[0], costs[-1])
+    normalized = costs / normalizer if normalizer > 0.0 else costs
+    idx = int(np.argmin(normalized))
+    return float(normalized[idx]), float(taus[idx]), float(tau_asv)
+
+
+def sweep_per_attack(scores):
+    (tb_asv, tb_cm), (_, nb_cm), (sp_asv, sp_cm) = class_columns(scores)
+    bona_cm = np.concatenate([tb_cm, nb_cm])
+    sp_attacks = np.array([e.label.attack_id for e in scores if e.label.is_spoof], dtype=object)
+    cm_eers, asv_eers = {}, {}
+    for attack in sorted(set(sp_attacks)):
+        mask = sp_attacks == attack
+        cm_eers[attack] = sweep_eer(bona_cm, sp_cm[mask])[0]
+        asv_eers[attack] = sweep_eer(tb_asv, sp_asv[mask])[0]
+    return cm_eers, asv_eers
 
 
 # ---------------------------------------------------------------------------
@@ -394,6 +472,15 @@ class TestFilterAttacks:
         remaining = [e.label.attack_id for e in filtered if e.label.is_spoof]
         assert remaining == ["A16", "A16"]
 
+    def test_keeps_the_rows_of_the_label_mask_in_order(self):
+        rng = np.random.default_rng(53)
+        for _ in range(20):
+            s = random_scoreset(rng)
+            size = int(rng.integers(0, 4))
+            excluded = set(rng.choice(["A01", "A02", "A03", "A99"], size=size, replace=False))
+            keep = np.array([e.label.attack_id not in excluded for e in s])
+            assert filter_attacks(s, excluded) == s.select(keep)
+
 
 class TestMetricReport:
     def test_json_round_trip(self):
@@ -412,10 +499,6 @@ class TestMetricReport:
         ):
             assert key in d
         assert MetricReport.from_json_dict(d) == report
-
-    def test_candidate_thresholds_cover_single_value(self):
-        taus = candidate_thresholds(np.array([1.0, 1.0, 1.0]))
-        assert taus.tolist() == [0.0, 2.0]
 
 
 # Integer-valued scores keep ties possible and make every strictly increasing
@@ -481,3 +564,119 @@ class TestMetricProperties:
             assert 0.0 <= value <= 1.0
         else:
             assert value == 0.0
+
+
+def _adjacent(start, n):
+    """n consecutive floats from start."""
+    values = [start]
+    for _ in range(n - 1):
+        values.append(float(np.nextafter(values[-1], np.inf)))
+    return values
+
+
+BIG = float(np.finfo(np.float64).max)
+# Score pools where a search could part from the sweep: integers (heavy
+# ties), runs of adjacent floats (a midpoint rounds onto an endpoint, and
+# near 1e17 a sentinel onto the extreme score), finite scores near the float
+# limit (a midpoint overflows to +-inf), and plain floats.
+SCORE_POOLS = [
+    st.integers(-4, 4).map(float),
+    st.sampled_from(_adjacent(0.1, 4) + _adjacent(0.7, 4) + _adjacent(1e17, 4)),
+    st.sampled_from(
+        [v for m in (BIG, float(np.nextafter(BIG, 0.0)), 1.7e308, 1.6e308, 9e307, 1e308, 1.0)
+         for v in (m, -m)] + [0.0]
+    ),
+    st.floats(-1e3, 1e3, allow_nan=False),
+]
+POOL = st.sampled_from(SCORE_POOLS + [st.one_of(*SCORE_POOLS)])
+
+
+@st.composite
+def pos_neg(draw):
+    """Two score arrays drawn from one pool, mixed, separable in either
+    direction, or with one class single-valued."""
+    pool = draw(POOL)
+    pos = draw(st.lists(pool, min_size=1, max_size=40))
+    neg = draw(st.lists(pool, min_size=1, max_size=40))
+    layout = draw(st.sampled_from(["mixed", "pos above", "neg above", "pos single", "neg single"]))
+    if layout == "pos above":
+        ranked = sorted(pos + neg)
+        neg, pos = ranked[: len(neg)], ranked[len(neg):]
+    elif layout == "neg above":
+        ranked = sorted(pos + neg)
+        pos, neg = ranked[: len(pos)], ranked[len(pos):]
+    elif layout == "pos single":
+        pos = pos[:1] * len(pos)
+    elif layout == "neg single":
+        neg = neg[:1] * len(neg)
+    return np.array(pos), np.array(neg)
+
+
+@st.composite
+def pooled_score_sets(draw):
+    pool = draw(POOL)
+    pairs = st.lists(st.tuples(pool, pool), min_size=1, max_size=15)
+    tb, nb, sp = draw(pairs), draw(pairs), draw(pairs)
+    attack = st.sampled_from(["A01", "A02", "A03"])
+    attacks = draw(st.lists(attack, min_size=len(sp), max_size=len(sp)))
+    return make_scoreset(tb, nb, sp, attacks)
+
+
+class TestSearchMatchesSweep:
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(pn=pos_neg())
+    def test_eer_arrays(self, pn):
+        pos, neg = pn
+        with np.errstate(over="ignore"):
+            assert eer_arrays(pos, neg) == sweep_eer(pos, neg)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(s=pooled_score_sets(), p=cost_params())
+    def test_min_norm_tdcf_and_per_attack_breakdown(self, s, p):
+        with np.errstate(over="ignore"):
+            assert min_norm_tdcf(s, p) == sweep_min_norm_tdcf(s, p)
+            got, want = per_attack_breakdown(s), sweep_per_attack(s)
+        assert [list(d.items()) for d in got] == [list(d.items()) for d in want]
+
+    def test_eer_arrays_at_evaluation_shapes(self):
+        # The shapes an evaluation meets: a few large classes against many
+        # small per-attack ones, with and without ties.
+        rng = np.random.default_rng(59)
+        for n_pos, n_neg in [(1332, 111), (111, 1332), (2000, 833), (600, 600), (3000, 7)]:
+            for decimals in (None, 1):
+                pos, neg = rng.normal(1.0, 1.0, n_pos), rng.normal(-1.0, 1.0, n_neg)
+                if decimals is not None:
+                    pos, neg = pos.round(decimals), neg.round(decimals)
+                assert eer_arrays(pos, neg) == sweep_eer(pos, neg)
+
+    def test_sentinels(self):
+        # One distinct score leaves only the two sentinels, both at
+        # |p_miss - p_fa| = 1, so the lower one.
+        assert eer_arrays(np.array([1.0, 1.0, 1.0]), np.array([1.0, 1.0])) == (0.5, 0.0, 0.0, 1.0)
+        # Near 1e17, 1 below the lowest score rounds onto it, so the lower
+        # sentinel rejects it, and wins as the sweep's first candidate.
+        assert eer_arrays(np.array([1e17]), np.array([1e17 + 64.0])) == (1.0, 1e17, 1.0, 1.0)
+
+    def test_edges_of_the_searched_part(self):
+        # Only the candidates around the crossing are evaluated; these are
+        # cases where the sweep's answer lies just outside them.
+        low, high = _adjacent(0.1, 3), _adjacent(0.7, 3)
+        # The midpoints of low[0:2] and of low[1:3] both count low[1], a
+        # tie the sweep breaks toward low[1] itself.
+        pos, neg = np.array(high[2:]), np.array([low[1], low[2], high[1], high[2], high[2]])
+        assert eer_arrays(pos, neg) == sweep_eer(pos, neg) == (0.3, low[2], 0.0, 0.6)
+        # Midpoints of the lowest scores overflow to -inf, and the best
+        # candidate is a midpoint between them and the rest.
+        pos, neg = np.array([-9e307, -9e307]), np.array([-BIG, -1.7e308, -1.6e308, 3.0, 9e307])
+        with np.errstate(over="ignore"):
+            assert eer_arrays(pos, neg) == sweep_eer(pos, neg) == (0.7, -4.5e307, 1.0, 0.4)
+
+    def test_empty_class_raises(self):
+        with pytest.raises(MissingClassError, match="positive"):
+            eer_arrays(np.array([]), np.array([1.0]))
+        with pytest.raises(MissingClassError, match="negative"):
+            eer_arrays(np.array([1.0]), np.array([]))
+
+    def test_candidate_thresholds_cover_single_value(self):
+        taus = sweep_candidates(np.array([1.0, 1.0, 1.0]))
+        assert taus.tolist() == [0.0, 2.0]

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tandemopt.calibration import sigmoid
 from tandemopt.metrics import tandem_error_rates, tdcf
@@ -20,6 +22,7 @@ from tandemopt.types import (
     TandemCostParams,
     Trial,
     TrialLabel,
+    TrialClass,
     TrialSet,
     class_codes,
 )
@@ -27,6 +30,21 @@ from tandemopt.types import (
 TB = TrialLabel(AsvLabel.TARGET, CmLabel.BONAFIDE)
 NB = TrialLabel(AsvLabel.NONTARGET, CmLabel.BONAFIDE)
 SP = TrialLabel(AsvLabel.TARGET, CmLabel.SPOOF, "A01")
+
+
+SCORE = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def cost_params(draw):
+    costs = [float(draw(st.integers(0, 10))) for _ in range(3)]
+    weights = [draw(st.integers(1, 100)) for _ in range(3)]
+    total = sum(weights)
+    rho_tar, rho_non = weights[0] / total, weights[1] / total
+    return TandemCostParams(*costs, rho_tar, rho_non, 1.0 - rho_tar - rho_non)
+
+
+COST_PARAMS = cost_params()
 
 
 def random_batch(rng, n_per_class=4, spread=1.0):
@@ -159,6 +177,35 @@ class TestSoftTdcfLoss:
         rows = [("tb0", TB, 1.0, 1.0), ("nb0", NB, -1.0, 1.0)]
         with pytest.raises(MissingClassError):
             soft_tdcf_loss(ScoreSet.from_rows(rows), SoftThresholds(0, 0), ASVSPOOF19_COST_PARAMS)
+
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.sampled_from(TrialClass), SCORE, SCORE),
+            min_size=3, max_size=30,
+        ),
+        tau_asv=SCORE,
+        tau_cm=SCORE,
+        p=COST_PARAMS,
+    )
+    def test_matches_hard_tdcf_at_a_fortieth_of_the_least_margin(self, rows, tau_asv, tau_cm, p):
+        # With every score at least delta from its threshold, T = delta / 40
+        # puts every sigmoid within sigmoid(-40) of its hard indicator; a
+        # trial's term is off by at most two of those, weighted so that each
+        # class's terms sum to its cost weight.
+        classes = np.array([c for c, _, _ in rows])
+        assume(np.bincount(classes, minlength=len(TrialClass)).all())
+        asv, cm = np.array([a for _, a, _ in rows]), np.array([c for _, _, c in rows])
+        delta = min(np.abs(asv - tau_asv).min(), np.abs(cm - tau_cm).min())
+        assume(delta > 1e-9)
+        taus = SoftThresholds(tau_asv, tau_cm)
+        soft, _ = soft_tdcf_from_arrays(asv, cm, classes, taus, p, temperature=delta / 40.0)
+        labels = dict(zip(TrialClass, (TB, NB, SP)))
+        s = ScoreSet.from_rows((f"t{i}", labels[c], a, m) for i, (c, a, m) in enumerate(rows))
+        hard = tdcf(tandem_error_rates(s, tau_asv, tau_cm), p)
+        weight = float(p.class_weights.sum())
+        rounding = 8 * len(rows) * np.finfo(np.float64).eps * weight
+        assert abs(soft - hard) <= 2.0 * weight * sigmoid(-40.0) + rounding
 
 
 def make_trials(rng, n_per_class=8, d=3):

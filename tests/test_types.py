@@ -310,15 +310,33 @@ class TestScoreSet:
             ScoreSet.of_trials(trials, np.zeros(4), cm)
 
     def test_class_split(self):
+        tb = label(AsvLabel.TARGET, CmLabel.BONAFIDE)
+        nb = label(AsvLabel.NONTARGET, CmLabel.BONAFIDE)
         rows = [
-            ("a", label(AsvLabel.TARGET, CmLabel.BONAFIDE), 1.0, 2.0),
-            ("b", label(AsvLabel.NONTARGET, CmLabel.BONAFIDE), -1.0, 2.5),
-            ("c", label(AsvLabel.TARGET, CmLabel.SPOOF, "A01"), 0.5, -2.0),
+            ("a", tb, 1.0, 2.0),
+            ("b", nb, -1.0, 2.5),
+            ("c", label(AsvLabel.TARGET, CmLabel.SPOOF, "A02"), 0.5, -2.0),
+            ("d", tb, 3.0, 1.0),
+            ("e", label(AsvLabel.TARGET, CmLabel.SPOOF, "A01"), 0.7, -3.0),
+            ("f", label(AsvLabel.TARGET, CmLabel.SPOOF, "A02"), 0.2, -1.0),
         ]
         cs = ScoreSet.from_rows(rows).class_split()
-        assert cs.tb_asv.tolist() == [1.0]
-        assert cs.nb_cm.tolist() == [2.5]
-        assert cs.sp_attacks == ("A01",)
+        # Each class's (asv, cm) pairs, in CM order.
+        assert (cs.tb_asv.tolist(), cs.tb_cm.tolist()) == ([3.0, 1.0], [1.0, 2.0])
+        assert (cs.nb_asv.tolist(), cs.nb_cm.tolist()) == ([-1.0], [2.5])
+        assert (cs.sp_asv.tolist(), cs.sp_cm.tolist()) == ([0.7, 0.5, 0.2], [-3.0, -2.0, -1.0])
+        assert cs.tb_asv_sorted.tolist() == [1.0, 3.0]
+        assert cs.sp_asv_sorted.tolist() == [0.2, 0.5, 0.7]
+        assert cs.bona_cm.tolist() == [1.0, 2.0, 2.5]
+        assert cs.bona_asv.tolist() == [-1.0, 1.0, 3.0]
+        assert cs.attacks == ("A01", "A02")
+        assert cs.attack_bounds.tolist() == [0, 1, 3]
+        groups = [(a, sorted(r.tolist()), c.tolist(), v.tolist()) for a, r, c, v in cs.by_attack()]
+        assert groups == [
+            ("A01", [4], [-3.0], [0.7]),
+            ("A02", [2, 5], [-2.0, -1.0], [0.2, 0.5]),
+        ]
+        assert not cs.bona_cm.flags.writeable and not cs.attack_asv.flags.writeable
 
 
 class TestTextFormats:
